@@ -30,7 +30,7 @@ from .graph import (
     spanning_tree,
     star_graph,
 )
-from .kernels import active_backend, integrate_lti
+from .kernels import integrate_lti
 from .netspec import (
     parse_power_spec,
     parse_spec,

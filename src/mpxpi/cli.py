@@ -9,6 +9,7 @@ Subcommands: check, tune, simulate, sweep, power, power-demo. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from .spectral import block_decompose, verify_block_properties
 from .stability import StabilityReport, check_projection, check_theorem
 
 _FMT = "%.17g"
+_CSV_CHUNK_ROWS = 4096
 
 
 def _num(x: float) -> str:
@@ -35,15 +37,14 @@ def _num(x: float) -> str:
 
 
 def _write_csv(path: str | None, header_lines: list[str], columns: list[str], rows) -> None:
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_num(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    # Streamed in chunks of rows, so a long trace never sits in memory as text.
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join([_FMT] * len(columns)) + "\n"
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as out:
+        out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
+        for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
+            chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
+            out.write("".join([line % tuple(row) for row in chunk]))
 
 
 def _report_rows(report: StabilityReport) -> list[tuple[str, str]]:

@@ -29,6 +29,7 @@ readable code and the JSON path of the offending value.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -60,9 +61,7 @@ def _as_matrix(value: Any, rows: int, cols: int, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != cols:
             raise SpecFormatError("dimension", f"{path}[{r}]", f"expected {cols} entries")
         for c, item in enumerate(row):
-            if not isinstance(item, (int, float)) or isinstance(item, bool):
-                raise SpecFormatError("bad-type", f"{path}[{r}][{c}]", "expected a number")
-            out[r, c] = float(item)
+            out[r, c] = _as_number(item, f"{path}[{r}][{c}]")
     return out
 
 
@@ -71,16 +70,21 @@ def _as_vector(value: Any, size: int, path: str) -> np.ndarray:
         raise SpecFormatError("dimension", path, f"expected {size} entries")
     out = np.empty(size)
     for c, item in enumerate(value):
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise SpecFormatError("bad-type", f"{path}[{c}]", "expected a number")
-        out[c] = float(item)
+        out[c] = _as_number(item, f"{path}[{c}]")
     return out
 
 
 def _as_number(value: Any, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SpecFormatError("bad-type", path, "expected a number")
-    return float(value)
+    # JSON admits NaN and Infinity, and integers too large for a double.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecFormatError("bad-type", path, "expected a finite number")
+    return number
 
 
 def _parse_layer(obj: Any, n_nodes: int, path: str, want_sigma: bool) -> tuple[LayerGraph, float]:

@@ -237,7 +237,6 @@ def simulate_power(
     t_end: float = 20.0,
     dt: float = 2e-5,
     record_every: int = 100,
-    backend: str | None = None,
 ) -> PowerTrace:
     """Integrate the grid through a piecewise-constant injection schedule.
 
@@ -295,7 +294,7 @@ def simulate_power(
         controlled = start >= control_step
         mat, forcing = _grid_matrices(pn, controlled, injection)
         samples, diverged = kernels.integrate_lti(
-            mat, forcing, state, dt, stop - start, record_every, backend
+            mat, forcing, state, dt, stop - start, record_every
         )
         chunks.append(samples[1:])
         state = samples[-1]

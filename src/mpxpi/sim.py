@@ -195,7 +195,6 @@ def simulate(
     t_end: float,
     dt: float,
     record_every: int = 1,
-    backend: str | None = None,
 ) -> SimTrace:
     """Integrate the closed loop from x(0) = x0, z(0) = 0 with fixed-step RK4.
 
@@ -216,7 +215,7 @@ def simulate(
         raise ValueError("record_every must divide the number of steps")
     y0 = np.concatenate([x0, np.zeros(size)])
     samples, diverged = kernels.integrate_lti(
-        loop.state_matrix, loop.forcing, y0, dt, n_steps, record_every, backend
+        loop.state_matrix, loop.forcing, y0, dt, n_steps, record_every
     )
     times = dt * record_every * np.arange(samples.shape[0])
     states = samples[:, :size]

@@ -159,6 +159,27 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
         main(["frobnicate"])
 
 
+def test_check_rejects_nan_gain(hetero8, tmp_path, capsys):
+    doc = json.loads(open(hetero8).read())
+    doc["layers"]["P"]["sigma"] = float("nan")
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["check", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "$.layers.P.sigma: expected a finite number" in err
+
+
+def test_sweep_rejects_infinite_matrix_entry(hetero8, tmp_path, capsys):
+    doc = json.loads(open(hetero8).read())
+    doc["nodes"][0]["A"][0][0] = float("inf")
+    spec = tmp_path / "inf.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["sweep", str(spec), "--sigma-p", "0:40:3", "--sigma-i", "0:40:3"]) == 2
+    captured = capsys.readouterr()
+    assert "$.nodes[0].A[0][0]: expected a finite number" in captured.err
+    assert captured.out == ""
+
+
 def test_csv_format_option(hetero8, capsys):
     assert main(["check", hetero8, "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpxpi import kernels
+from mpxpi import kernels, power
 
 
 @pytest.fixture
@@ -12,33 +12,72 @@ def stable_system():
     return mat, rng.standard_normal(6), rng.standard_normal(6)
 
 
-def test_backends_agree(stable_system):
-    pytest.importorskip("numba")
+def _rk4_stage_loop(mat, forcing, y0, dt, n_steps, stride):
+    # Reference: the four RK4 stages per step, checked at every recorded sample.
+    out = [y0.copy()]
+    y = y0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            k1 = mat @ y + forcing
+            k2 = mat @ (y + (0.5 * dt) * k1) + forcing
+            k3 = mat @ (y + (0.5 * dt) * k2) + forcing
+            k4 = mat @ (y + dt * k3) + forcing
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step % stride == 0:
+                out.append(y)
+                peak = np.abs(y).max()
+                if not np.isfinite(peak) or peak > kernels.DIVERGENCE_LIMIT:
+                    return np.array(out), True
+    return np.array(out), False
+
+
+def _assert_matches_stage_loop(mat, forcing, y0, dt, n_steps, stride):
+    want, want_diverged = _rk4_stage_loop(mat, forcing, y0, dt, n_steps, stride)
+    got, diverged = kernels.integrate_lti(mat, forcing, y0, dt, n_steps, stride)
+    assert diverged == want_diverged
+    assert got.shape == want.shape
+    finite = want[np.isfinite(want)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(finite).max())
+    return got, diverged
+
+
+@pytest.mark.parametrize("stride", [1, 10, 2000])
+def test_step_map_matches_stage_loop(stable_system, stride):
     mat, forcing, y0 = stable_system
-    a, da = kernels.integrate_lti(mat, forcing, y0, 1e-3, 2000, 10, backend="numba")
-    b, db = kernels.integrate_lti(mat, forcing, y0, 1e-3, 2000, 10, backend="numpy")
-    assert da == db is False
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
+    got, diverged = _assert_matches_stage_loop(mat, forcing, y0, 1e-3, 2000, stride)
+    assert not diverged
+    assert got.shape == (2000 // stride + 1, 6)
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("MPX_BACKEND", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("MPX_BACKEND", "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels.active_backend() == "numba"
-    else:
-        with pytest.raises(RuntimeError):
-            kernels.active_backend()
-        with pytest.raises(RuntimeError):
-            kernels.integrate_lti(
-                -np.eye(1), np.zeros(1), np.ones(1), 1e-3, 10, backend="numba"
-            )
-    monkeypatch.setenv("MPX_BACKEND", "other")
-    with pytest.raises(RuntimeError):
-        kernels.active_backend()
-    monkeypatch.delenv("MPX_BACKEND")
-    assert kernels.active_backend() in ("numba", "numpy")
+@pytest.mark.parametrize(
+    ("rate", "dt", "n_steps", "stride", "rows"),
+    [
+        # y' = 10 y at dt = 0.1 grows by 2.708 per step and passes 1e12 at step 28
+        (10.0, 0.1, 100, 1, 29),
+        (10.0, 0.1, 100, 5, 7),
+        # y' = 0.02 y at dt = 1 passes 1e12 at step 1382, past the first
+        # batch of divergence checks
+        (0.02, 1.0, 2000, 1, 1383),
+    ],
+)
+def test_step_map_truncates_where_stage_loop_does(rate, dt, n_steps, stride, rows):
+    got, diverged = _assert_matches_stage_loop(
+        np.array([[rate]]), np.zeros(1), np.ones(1), dt, n_steps, stride
+    )
+    assert diverged
+    assert got.shape == (rows, 1)
+
+
+@pytest.mark.parametrize("stride", [100, 1000])
+def test_overflowing_step_map_is_flagged(grid16, stride):
+    # dt = 1e-2 is far past RK4's limit on the controlled grid: the powered
+    # map overflows and the first sample is already non-finite
+    mat, forcing = power._grid_matrices(grid16, True, grid16.injection)
+    y0 = np.concatenate([np.full(16, 60.0), np.zeros(16)])
+    got, diverged = _assert_matches_stage_loop(mat, forcing, y0, 1e-2, 1000, stride)
+    assert diverged
+    assert got.shape == (2, 32)
+    assert not np.isfinite(got[-1]).all()
 
 
 def test_exact_scalar_decay():
@@ -62,7 +101,7 @@ def test_recording_stride(stable_system):
     thin, _ = kernels.integrate_lti(mat, forcing, y0, 1e-3, 100, 20)
     assert full.shape == (101, 6)
     assert thin.shape == (6, 6)
-    np.testing.assert_array_equal(thin, full[::20])
+    np.testing.assert_allclose(thin, full[::20], rtol=0, atol=1e-13 * np.abs(full).max())
 
 
 def test_divergence_truncates():

@@ -122,6 +122,14 @@ def test_bad_weight_rejected():
     _expect_code(doc, "bad-weight")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("-inf"), 10**400])
+def test_non_finite_number_rejected(value):
+    doc = _doc()
+    doc["nodes"][2]["b"][1] = value
+    err = _expect_code(doc, "bad-type")
+    assert err.path == "$.nodes[2].b[1]"
+
+
 def test_bad_node_index_rejected():
     doc = _doc()
     doc["layers"]["I"]["edges"][0][0] = 12

@@ -26,13 +26,14 @@ from .errors import NotApplicableError, TuningInfeasibleError
 from .graph import algebraic_connectivity, is_connected
 from .stability import (
     HURWITZ_TOL,
-    SINGULAR_RTOL,
     MultiplexSystem,
     StabilityReport,
+    averaged_dynamics,
     best_anchor,
     certificates,
     check_theorem,
     consensusability_fold,
+    coupling_threshold,
 )
 
 
@@ -53,11 +54,9 @@ class TuningResult:
     report: StabilityReport
 
 
-def _average_ok(a_list: Sequence[np.ndarray]) -> bool:
-    psi11 = sum(a_list) / len(a_list)
-    sv = np.linalg.svd(psi11, compute_uv=False)
-    eta = float(np.linalg.eigvalsh(psi11 + psi11.T)[-1])
-    return bool(sv[-1] > SINGULAR_RTOL * sv[0]) and eta < -HURWITZ_TOL
+def _average_ok(sys: MultiplexSystem) -> bool:
+    psi11, nonsingular, _ = averaged_dynamics(sys)
+    return nonsingular and float(np.linalg.eigvalsh(psi11 + psi11.T)[-1]) < -HURWITZ_TOL
 
 
 def tune(
@@ -81,7 +80,7 @@ def tune(
 
     used_feedback = False
     work = sys
-    if not _average_ok(work.effective_a()):
+    if not _average_ok(work):
         if h_list is None:
             raise TuningInfeasibleError(
                 "averaged dynamics fail the stability prerequisite and no local "
@@ -89,7 +88,7 @@ def tune(
             )
         work = consensusability_fold(work, h_list)
         used_feedback = True
-        if not _average_ok(work.effective_a()):
+        if not _average_ok(work):
             raise TuningInfeasibleError(
                 "averaged dynamics still fail the prerequisite after folding the "
                 "supplied local feedback"
@@ -102,8 +101,7 @@ def tune(
     else:
         mu, eta, rho = certificates(a_eff, anchor)
 
-    spread_term = 0.0 if mu == 0.0 else mu / (work.n_nodes * abs(eta))
-    threshold = 0.5 * (spread_term + rho)
+    threshold = coupling_threshold(mu, eta, rho, work.n_nodes)
 
     lam2_p = algebraic_connectivity(work.layer_p)
     if lam2_p <= 0.0:

@@ -265,8 +265,8 @@ def simulate_power(
     state = np.concatenate([w0, z0])
 
     n_steps = int(round(t_end / dt))
-    if n_steps % record_every != 0:
-        raise ValueError("record_every must divide the number of steps")
+    if record_every < 1 or n_steps % record_every != 0:
+        raise ValueError("record_every must be a positive divisor of the number of steps")
 
     def snap(time: float) -> int:
         step = record_every * int(round(float(time) / dt / record_every))

@@ -14,17 +14,15 @@ matrix's eigenvalues plus n structural zeros reproduce the full spectrum.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import DimensionError, NoEquilibriumError
-from .graph import is_connected, laplacian
-from .spectral import SpectralBlocks, block_decompose, psi_blocks
-from .stability import SINGULAR_RTOL, MultiplexSystem, StabilityReport, check_theorem
+from .graph import LayerGraph, is_connected, laplacian
+from .spectral import block_decompose, psi_blocks
+from .stability import MultiplexSystem, averaged_dynamics, check_theorem
 
 #: Spectral abscissa below -STABLE_TOL counts as stable; within +-STABLE_TOL
 #: a sweep cell is flagged marginal.
@@ -57,7 +55,7 @@ class ErrorSystem:
         self.matrix.setflags(write=False)
 
     def abscissa(self) -> float:
-        return spectral_abscissa(self.matrix)
+        return float(spectral_abscissa(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -80,9 +78,9 @@ class SimTrace:
             arr.setflags(write=False)
 
 
-def spectral_abscissa(mat: np.ndarray) -> float:
-    """Largest real part of the spectrum."""
-    return float(np.linalg.eigvals(mat).real.max())
+def spectral_abscissa(mat: np.ndarray) -> np.floating | np.ndarray:
+    """Largest real part of the spectrum; one value per matrix of a stack."""
+    return np.linalg.eigvals(mat).real.max(axis=-1)
 
 
 def consensus_index(states: np.ndarray, n_nodes: int, state_dim: int) -> np.ndarray:
@@ -98,14 +96,11 @@ def equilibrium(sys: MultiplexSystem) -> tuple[np.ndarray, np.ndarray]:
     x* stacks N copies of the consensus point; z* balances the node dynamics
     and biases there. Requires the averaged dynamics to be nonsingular.
     """
-    a_eff = sys.effective_a()
-    psi11 = sum(a_eff) / sys.n_nodes
-    sv = np.linalg.svd(psi11, compute_uv=False)
-    if not sv[-1] > SINGULAR_RTOL * sv[0]:
+    _, nonsingular, x_inf = averaged_dynamics(sys)
+    if not nonsingular:
         raise NoEquilibriumError("averaged node dynamics are singular")
-    x_inf = -np.linalg.solve(psi11, sum(nd.b for nd in sys.nodes) / sys.n_nodes)
     x_star = np.tile(x_inf, sys.n_nodes)
-    a_x = np.concatenate([a @ x_inf for a in a_eff])
+    a_x = np.concatenate([a @ x_inf for a in sys.effective_a()])
     z_star = -(a_x + sys.stacked_bias())
     return x_star, z_star
 
@@ -129,49 +124,41 @@ def assemble(sys: MultiplexSystem) -> ClosedLoopSystem:
     return ClosedLoopSystem(mat, forcing, n_nodes, dim)
 
 
-def _deviation_basis(sys: MultiplexSystem) -> SpectralBlocks:
-    # Any pinned orthonormal basis yields a similar error matrix; prefer the
-    # open-loop layer's eigenbasis so its coupling block comes out diagonal.
-    if is_connected(sys.layer_c):
-        return block_decompose(laplacian(sys.layer_c))
-    return block_decompose(laplacian(sys.layer_i))
+def _error_blocks(sys: MultiplexSystem):
+    """psi and the lower-right layer blocks in the deviation basis.
+
+    Any pinned orthonormal basis yields a similar error matrix; prefer the
+    open-loop layer's eigenbasis so its coupling block comes out diagonal.
+    """
+    basis_layer = sys.layer_c if is_connected(sys.layer_c) else sys.layer_i
+    basis = block_decompose(laplacian(basis_layer))
+    r, r_inv = basis.r_matrix, basis.r_inverse
+
+    def lower(layer: LayerGraph) -> np.ndarray:
+        return (r_inv @ laplacian(layer) @ r)[1:, 1:]
+
+    psi = psi_blocks(sys.effective_a(), basis).assembled()
+    return psi, lower(sys.layer_c), lower(sys.layer_p), lower(sys.layer_i)
 
 
-def _error_matrix(
-    sys: MultiplexSystem,
-    basis: SpectralBlocks,
-    psi: np.ndarray,
-    s_c: np.ndarray,
-    s_p: np.ndarray,
-    s_i: np.ndarray,
-    sigma_p: float,
-    sigma_i: float,
-) -> np.ndarray:
+def _error_matrices(sys: MultiplexSystem, blocks, sigma_p: float, sigma_i: np.ndarray) -> np.ndarray:
+    """Error matrices for one proportional gain and an array of integral gains.
+
+    The gains enter affinely: sigma_P through the deviation block, sigma_I
+    through the integral block, so a whole row of a gain grid shares one
+    coupling term.
+    """
+    psi, s_c, s_p, s_i = blocks
     n_nodes, dim = sys.n_nodes, sys.state_dim
     eye = np.eye(dim)
     top = n_nodes * dim
     rest = (n_nodes - 1) * dim
-    mat = np.zeros((top + rest, top + rest))
-    mat[:top, :top] = psi
-    mat[dim:top, dim:top] -= np.kron(sys.sigma * s_c + sigma_p * s_p, eye)
-    mat[dim:top, top:] = np.eye(rest)
-    mat[top:, dim:top] = -sigma_i * np.kron(s_i, eye)
-    return mat
-
-
-def _layer_blocks(sys: MultiplexSystem, basis: SpectralBlocks):
-    r, r_inv = basis.r_matrix, basis.r_inverse
-
-    def lower(mat: np.ndarray) -> np.ndarray:
-        return (r_inv @ mat @ r)[1:, 1:]
-
-    psi = psi_blocks(sys.effective_a(), basis).assembled()
-    return (
-        psi,
-        lower(laplacian(sys.layer_c)),
-        lower(laplacian(sys.layer_p)),
-        lower(laplacian(sys.layer_i)),
-    )
+    mats = np.zeros((sigma_i.size, top + rest, top + rest))
+    mats[:, :top, :top] = psi
+    mats[:, dim:top, dim:top] -= np.kron(sys.sigma * s_c + sigma_p * s_p, eye)
+    mats[:, dim:top, top:] = np.eye(rest)
+    mats[:, top:, dim:top] = -sigma_i[:, None, None] * np.kron(s_i, eye)
+    return mats
 
 
 def error_system(sys: MultiplexSystem) -> ErrorSystem:
@@ -183,10 +170,8 @@ def error_system(sys: MultiplexSystem) -> ErrorSystem:
     lower-right blocks in that basis (diagonal for the layer that supplied
     the basis, dense symmetric for the others).
     """
-    basis = _deviation_basis(sys)
-    psi, s_c, s_p, s_i = _layer_blocks(sys, basis)
-    mat = _error_matrix(sys, basis, psi, s_c, s_p, s_i, sys.sigma_p, sys.sigma_i)
-    return ErrorSystem(mat, sys.n_nodes, sys.state_dim)
+    mats = _error_matrices(sys, _error_blocks(sys), sys.sigma_p, np.array([sys.sigma_i]))
+    return ErrorSystem(mats[0], sys.n_nodes, sys.state_dim)
 
 
 def simulate(
@@ -211,8 +196,6 @@ def simulate(
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({size},)")
     loop = assemble(sys)
     n_steps = int(round(t_end / dt))
-    if n_steps % record_every != 0:
-        raise ValueError("record_every must divide the number of steps")
     y0 = np.concatenate([x0, np.zeros(size)])
     samples, diverged = kernels.integrate_lti(
         loop.state_matrix, loop.forcing, y0, dt, n_steps, record_every
@@ -248,58 +231,44 @@ class SweepResult:
             arr.setflags(write=False)
 
 
-def sweep(
-    sys: MultiplexSystem,
-    sigma_p_grid,
-    sigma_i_grid,
-    threads: int | None = None,
-) -> SweepResult:
+def sweep(sys: MultiplexSystem, sigma_p_grid, sigma_i_grid) -> SweepResult:
     """Spectral abscissa of the error system over a gain grid.
 
-    Grid points are independent; set MPX_THREADS (or ``threads``) to fan the
-    eigenvalue work out. Failed cells hold NaN and classify as not stable.
+    Each sigma_P row is one stack of error matrices, one per sigma_I, solved
+    by one batched eigenvalue call. A cell whose matrix overflows to
+    non-finite entries holds NaN and classifies as not stable. Grids must be
+    non-empty, finite and non-negative, else ValueError.
     """
     sp = np.asarray(list(sigma_p_grid), dtype=float)
     si = np.asarray(list(sigma_i_grid), dtype=float)
-    if sp.size == 0 or si.size == 0:
-        raise ValueError("gain grids must be non-empty")
+    for name, grid in (("sigma_p", sp), ("sigma_i", si)):
+        if grid.size == 0:
+            raise ValueError("gain grids must be non-empty")
+        if not (np.isfinite(grid).all() and (grid >= 0.0).all()):
+            raise ValueError(f"{name} grid values must be finite and non-negative")
 
-    basis = _deviation_basis(sys)
-    psi, s_c, s_p, s_i = _layer_blocks(sys, basis)
-
-    def cell(idx: tuple[int, int]) -> tuple[tuple[int, int], float]:
-        i, j = idx
-        try:
-            mat = _error_matrix(sys, basis, psi, s_c, s_p, s_i, sp[i], si[j])
-            return idx, spectral_abscissa(mat)
-        except np.linalg.LinAlgError:
-            return idx, np.nan
-
-    indices = [(i, j) for i in range(sp.size) for j in range(si.size)]
-    if threads is None:
-        threads = int(os.environ.get("MPX_THREADS", "1"))
+    blocks = _error_blocks(sys)
     abscissa = np.full((sp.size, si.size), np.nan)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, value in pool.map(cell, indices):
-                abscissa[idx] = value
-    else:
-        for idx in indices:
-            abscissa[idx] = cell(idx)[1]
-
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, gain in enumerate(sp):
+            mats = _error_matrices(sys, blocks, gain, si)
+            finite = np.isfinite(mats).all(axis=(1, 2))
+            if finite.any():
+                abscissa[row, finite] = spectral_abscissa(mats[finite])
         stable = abscissa < -STABLE_TOL
         marginal = np.abs(abscissa) <= STABLE_TOL
     return SweepResult(sp, si, abscissa, stable, marginal)
 
 
 def certified_cells(sys: MultiplexSystem, result: SweepResult, anchor: int = 1) -> np.ndarray:
-    """Boolean mask of grid cells whose gains pass the sufficient conditions."""
-    mask = np.zeros(result.abscissa.shape, dtype=bool)
-    for i, sp in enumerate(result.sigma_p):
-        for j, si in enumerate(result.sigma_i):
-            report: StabilityReport = check_theorem(
-                sys.with_gains(sigma_p=float(sp), sigma_i=float(si)), anchor
-            )
-            mask[i, j] = report.passed
-    return mask
+    """Boolean mask of grid cells whose gains pass the sufficient conditions.
+
+    Condition (i) ignores the gains, (ii) depends on sigma_P alone and (iii)
+    on sigma_I alone, so one check per row and one per column decide every
+    cell.
+    """
+    rows = [check_theorem(sys.with_gains(sigma_p=float(sp)), anchor) for sp in result.sigma_p]
+    cols = [check_theorem(sys.with_gains(sigma_i=float(si)), anchor) for si in result.sigma_i]
+    return np.logical_and.outer(
+        [r.condition_i and r.condition_ii for r in rows], [c.condition_iii for c in cols]
+    )

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, NotApplicableError
-from .graph import LayerGraph, algebraic_connectivity, is_connected, laplacian
+from .graph import LayerGraph, algebraic_connectivity, is_connected, laplacian, projection
 
 #: Eigenvalue strictly below -HURWITZ_TOL counts as stable; smallest singular
 #: value above SINGULAR_RTOL * ||matrix||_2 counts as nonsingular.
@@ -242,37 +242,54 @@ def weighted_projection_laplacian(sys: MultiplexSystem) -> np.ndarray:
 
 
 def _weighted_projection_connected(sys: MultiplexSystem) -> bool:
-    edges = []
-    if sys.sigma > 0.0:
-        edges += [(i, j, sys.sigma * w) for i, j, w in sys.layer_c.edges]
-    if sys.sigma_p > 0.0:
-        for i, j, w in sys.layer_p.edges:
-            edges.append((i, j, sys.sigma_p * w))
-    merged: dict[tuple[int, int], float] = {}
-    for i, j, w in edges:
-        merged[(i, j)] = merged.get((i, j), 0.0) + w
-    graph = LayerGraph(sys.n_nodes, tuple((i, j, w) for (i, j), w in merged.items()))
-    return is_connected(graph)
+    # Connectivity ignores weights: only which layers carry a positive gain matters.
+    empty = LayerGraph(sys.n_nodes)
+    return is_connected(
+        projection(
+            sys.layer_c if sys.sigma > 0.0 else empty,
+            sys.layer_p if sys.sigma_p > 0.0 else empty,
+        )
+    )
 
 
-def _evaluate(sys: MultiplexSystem, anchor: int, mode: str) -> StabilityReport:
-    a_eff = sys.effective_a()
-    n_nodes = sys.n_nodes
-    mu, eta, rho = certificates(a_eff, anchor)
+def averaged_dynamics(sys: MultiplexSystem) -> tuple[np.ndarray, bool, np.ndarray | None]:
+    """psi11 (the node matrices' average), its nonsingularity, and x_inf.
 
-    psi11 = sum(a_eff) / n_nodes
+    The consensus point ``x_inf = -psi11^-1 mean(b)`` is None when psi11 is
+    singular, i.e. its smallest singular value is at most SINGULAR_RTOL times
+    its largest.
+    """
+    psi11 = sum(sys.effective_a()) / sys.n_nodes
     sv = np.linalg.svd(psi11, compute_uv=False)
     nonsingular = bool(sv[-1] > SINGULAR_RTOL * sv[0])
-    hurwitz = bool(eta < -HURWITZ_TOL)
-    condition_i = nonsingular and hurwitz
+    x_inf = None
+    if nonsingular:
+        x_inf = -np.linalg.solve(psi11, sum(nd.b for nd in sys.nodes) / sys.n_nodes)
+        x_inf.setflags(write=False)
+    return psi11, nonsingular, x_inf
 
+
+def coupling_threshold(mu: float, eta: float, rho: float, n_nodes: int) -> float:
+    """``(mu / (N |eta|) + rho) / 2``, the bound the coupling term must exceed.
+
+    mu = 0 drops the spread term; eta = 0 with mu > 0 makes it infinite.
+    """
     if mu == 0.0:
         spread_term = 0.0
     elif eta == 0.0:
         spread_term = np.inf
     else:
         spread_term = mu / (n_nodes * abs(eta))
-    threshold = 0.5 * (spread_term + rho)
+    return 0.5 * (spread_term + rho)
+
+
+def _evaluate(sys: MultiplexSystem, anchor: int, mode: str) -> StabilityReport:
+    a_eff = sys.effective_a()
+    mu, eta, rho = certificates(a_eff, anchor)
+    _, nonsingular, x_inf = averaged_dynamics(sys)
+    hurwitz = bool(eta < -HURWITZ_TOL)
+    condition_i = nonsingular and hurwitz
+    threshold = coupling_threshold(mu, eta, rho, sys.n_nodes)
 
     lam2_c = algebraic_connectivity(sys.layer_c)
     lam2_p = algebraic_connectivity(sys.layer_p)
@@ -286,11 +303,6 @@ def _evaluate(sys: MultiplexSystem, anchor: int, mode: str) -> StabilityReport:
         condition_ii = coupling > threshold
 
     condition_iii = is_connected(sys.layer_i) and sys.sigma_i > 0.0
-
-    x_inf = None
-    if nonsingular:
-        x_inf = -np.linalg.solve(psi11, sum(nd.b for nd in sys.nodes) / n_nodes)
-        x_inf.setflags(write=False)
 
     return StabilityReport(
         mu=mu,

@@ -180,6 +180,32 @@ def test_sweep_rejects_infinite_matrix_entry(hetero8, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "grid_args",
+    [
+        ["--sigma-p", "nan:1:3", "--sigma-i", "0:40:2"],
+        ["--sigma-p=-5:0:2", "--sigma-i", "0:40:2"],
+    ],
+)
+def test_sweep_rejects_bad_grid(hetero8, capsys, grid_args):
+    assert main(["sweep", hetero8] + grid_args) == 2
+    captured = capsys.readouterr()
+    assert "grid values must be finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_rejects_zero_record_every(hetero8, capsys):
+    assert main(["simulate", hetero8, "--t-end", "1", "--record-every", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "stride must be a positive divisor" in captured.err
+    assert captured.out == ""
+
+
+def test_power_demo_rejects_zero_record_every(capsys):
+    assert main(["power-demo", "--t-end", "0.1", "--record-every", "0"]) == 2
+    assert "record_every must be a positive divisor" in capsys.readouterr().err
+
+
 def test_csv_format_option(hetero8, capsys):
     assert main(["check", hetero8, "--format", "csv"]) == 0
     out = capsys.readouterr().out

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpxpi import kernels
+from mpxpi import kernels, sim
 from mpxpi.errors import DimensionError, NoEquilibriumError
-from mpxpi.graph import empty_graph, laplacian, path_graph, ring_graph, star_graph
+from mpxpi.graph import LayerGraph, empty_graph, laplacian, path_graph, ring_graph, star_graph
 from mpxpi.sim import (
     assemble,
     certified_cells,
@@ -16,7 +16,7 @@ from mpxpi.sim import (
     spectral_abscissa,
     sweep,
 )
-from mpxpi.stability import MultiplexSystem, NodeDynamics
+from mpxpi.stability import MultiplexSystem, NodeDynamics, check_theorem
 
 from conftest import random_system
 
@@ -305,17 +305,7 @@ def test_sweep_matches_error_system(demo8):
     for i, sp in enumerate(result.sigma_p):
         for j, si in enumerate(result.sigma_i):
             direct = error_system(demo8.with_gains(sigma_p=float(sp), sigma_i=float(si))).abscissa()
-            assert result.abscissa[i, j] == pytest.approx(direct, abs=1e-12)
-
-
-def test_sweep_threaded_matches_serial(demo8, monkeypatch):
-    grid_p, grid_i = np.linspace(1, 30, 4), np.linspace(1, 30, 3)
-    serial = sweep(demo8, grid_p, grid_i, threads=1)
-    threaded = sweep(demo8, grid_p, grid_i, threads=4)
-    np.testing.assert_array_equal(serial.abscissa, threaded.abscissa)
-    monkeypatch.setenv("MPX_THREADS", "3")
-    env_driven = sweep(demo8, grid_p, grid_i)
-    np.testing.assert_array_equal(serial.abscissa, env_driven.abscissa)
+            np.testing.assert_array_equal(result.abscissa[i, j], direct)
 
 
 def test_certified_cells_are_stable(demo8):
@@ -324,6 +314,65 @@ def test_certified_cells_are_stable(demo8):
     certified = certified_cells(demo8, result)
     assert certified.any()
     assert np.all(result.stable[certified])
+
+
+def test_sweep_rejects_bad_grids(demo8):
+    for bad in ([np.nan, 1.0], [-5.0, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError):
+            sweep(demo8, bad, [1.0])
+        with pytest.raises(ValueError):
+            sweep(demo8, [1.0], bad)
+
+
+def test_sweep_overflowing_gain_gives_nan_cells(demo8):
+    # finite gains whose products overflow the error matrix: NaN, not stable
+    result = sweep(demo8, [20.0, 1e308], [15.0, 1e308])
+    assert np.isfinite(result.abscissa[0, 0]) and bool(result.stable[0, 0])
+    assert np.isnan(result.abscissa[0, 1]) and np.isnan(result.abscissa[1]).all()
+    assert not result.stable[1].any() and not result.marginal[1].any()
+
+
+def _per_cell_certified(sys, result, anchor=1):
+    mask = np.zeros(result.abscissa.shape, dtype=bool)
+    for i, sp in enumerate(result.sigma_p):
+        for j, si in enumerate(result.sigma_i):
+            gains = sys.with_gains(sigma_p=float(sp), sigma_i=float(si))
+            mask[i, j] = check_theorem(gains, anchor).passed
+    return mask
+
+
+@pytest.mark.parametrize(
+    "layer_c, sigma, mode",
+    [
+        (ring_graph(8), 5.0, "direct"),
+        (empty_graph(8), 0.0, "projection"),
+        (LayerGraph(8, ((1, 2, 1.0), (3, 4, 1.0))), 3.0, "projection"),
+    ],
+)
+def test_certified_cells_match_per_cell_check(demo8, monkeypatch, layer_c, sigma, mode):
+    sys = dataclasses.replace(demo8, layer_c=layer_c, sigma=sigma)
+    assert check_theorem(sys).mode == mode
+    result = sweep(sys, np.linspace(0.0, 60.0, 9), np.linspace(0.0, 40.0, 5))
+    reference = _per_cell_certified(sys, result, anchor=4)
+    assert reference.any() and not reference.all()
+
+    calls = []
+    monkeypatch.setattr(sim, "check_theorem", lambda *a: calls.append(a) or check_theorem(*a))
+    np.testing.assert_array_equal(certified_cells(sys, result, anchor=4), reference)
+    assert len(calls) == 9 + 5
+
+
+def test_certified_cells_match_per_cell_check_on_random_systems():
+    # weak damping lets some draws fail condition (i) while (ii) and (iii) hold
+    rng = np.random.default_rng(31)
+    grid_p, grid_i = np.linspace(0.0, 12.0, 7), np.linspace(0.0, 3.0, 4)
+    seen = set()
+    for _ in range(8):
+        sys = random_system(rng, damping=(-0.5, 1.5))
+        seen.add(check_theorem(sys).condition_i)
+        result = sweep(sys, grid_p, grid_i)
+        np.testing.assert_array_equal(certified_cells(sys, result), _per_cell_certified(sys, result))
+    assert seen == {True, False}
 
 
 def test_abscissa_sign_matches_traces_from_many_starts():
@@ -360,3 +409,5 @@ def test_spectral_abscissa_helper():
     assert spectral_abscissa(np.diag([-3.0, -1.0])) == pytest.approx(-1.0)
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert spectral_abscissa(rot) == pytest.approx(0.0, abs=1e-12)
+    stack = np.stack([np.diag([-3.0, -1.0]), np.diag([2.0, -5.0])])
+    np.testing.assert_array_equal(spectral_abscissa(stack), [-1.0, 2.0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -160,6 +161,8 @@ def _parse_grid(text: str) -> np.ndarray:
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1:
         raise SpecFormatError("bad-type", text, "steps must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SpecFormatError("bad-type", text, "grid values must be finite and non-negative")
     return np.linspace(start, stop, steps)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_sweep_rejects_bad_grid(hetero8, capsys, grid_args):
     assert main(["sweep", hetero8] + grid_args) == 2
     captured = capsys.readouterr()
     assert "grid values must be finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,grid", [("--sigma-i", "0:inf:2"), ("--sigma-p", "-inf:1:3")])
+def test_sweep_rejects_infinite_grid_end_without_warning(hetero8, capsys, flag, grid):
+    other = "--sigma-p" if flag == "--sigma-i" else "--sigma-i"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", hetero8, f"{flag}={grid}", f"{other}=0:40:2"]) == 2
+    captured = capsys.readouterr()
+    assert f"{grid}: grid values must be finite and non-negative" in captured.err
     assert captured.out == ""
 
 

@@ -70,6 +70,10 @@ def test_identity_residuals_ring8():
     assert set(report.residuals) == set(IDENTITY_NAMES)
     assert report.max_residual < 1e-10
     assert report.ok()
+    # the Kronecker expansion by the state dimension changes no residual
+    assert report.residuals == verify_block_properties(blocks, n_state=1).residuals
+    with pytest.raises(DimensionError):
+        verify_block_properties(blocks, n_state=0)
 
 
 def test_identity_residuals_two_nodes():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpxpi.errors import DimensionError, NoEquilibriumError, NotApplicableError
 from mpxpi.graph import LayerGraph, empty_graph, path_graph, ring_graph
@@ -202,6 +204,7 @@ def test_best_anchor_homogeneous():
     anchor, mu = best_anchor([np.eye(2)] * 4)
     assert anchor == 1
     assert mu == 0.0
+    assert best_anchor([np.array([[0.3, 1.0], [-0.4, -2.0]])] * 60) == (1, 0.0)
 
 
 def test_best_anchor_scalar_example():
@@ -217,6 +220,109 @@ def test_best_anchor_on_demo_network(demo8):
     assert mu == min(scan)
     assert mu <= MU_DEMO + 1e-9
     assert anchor == 1  # oscillator nodes give the smallest spread; ties break low
+
+
+def _scan_anchors(mats):
+    """Reference: one certificates call per anchor, ties to the lowest index."""
+    best = (1, np.inf)
+    for anchor in range(1, len(mats) + 1):
+        mu = certificates(mats, anchor)[0]
+        if mu < best[1]:
+            best = (anchor, mu)
+    return best
+
+
+def _anchor_scan_cases():
+    rng = np.random.default_rng(2026)
+    cases = []
+    for trial in range(36):
+        n_nodes = int(rng.integers(2, 61))
+        dim = int(rng.integers(1, 5))
+        scale = (1e-3, 1.0, 1e3)[trial % 3]
+        if trial % 2:
+            pool = [scale * rng.standard_normal((dim, dim)) for _ in range(max(1, n_nodes // 3))]
+            mats = [pool[int(rng.integers(len(pool)))] for _ in range(n_nodes)]
+        else:
+            mats = [scale * rng.standard_normal((dim, dim)) for _ in range(n_nodes)]
+        kind = "duplicated" if trial % 2 else "distinct"
+        cases.append(pytest.param(mats, id=f"N{n_nodes}-n{dim}-{scale:g}-{kind}"))
+    return cases
+
+
+@pytest.mark.parametrize("mats", _anchor_scan_cases())
+def test_best_anchor_matches_per_anchor_scan(mats):
+    anchor, mu = best_anchor(mats)
+    want_anchor, want_mu = _scan_anchors(mats)
+    assert anchor == want_anchor
+    assert mu == want_mu  # bitwise: the closed form only shortlists anchors
+
+
+def test_best_anchor_tie_at_minimum_breaks_low():
+    rng = np.random.default_rng(4)
+    centre = rng.standard_normal((3, 3))
+    d1, d2 = 5.0 * rng.standard_normal((2, 3, 3))
+    far = [centre + d1, centre - d1, centre + d2, centre - d2]
+    # nodes 2 and 5 are identical and sit at the centre of the others
+    mats = [far[0], centre, far[1], far[2], centre.copy(), far[3]]
+    mus = [certificates(mats, k)[0] for k in range(1, 7)]
+    assert mus[1] == mus[4] == min(mus)
+    assert best_anchor(mats) == (2, mus[1]) == _scan_anchors(mats)
+
+
+def test_best_anchor_two_nodes_with_large_shared_part():
+    # Two anchors always tie exactly, but a large shared part makes the
+    # closed form cancel, so its estimates differ in the last bits.
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        shared = 1e3 * rng.standard_normal((3, 3))
+        mats = [shared + 1e-3 * rng.standard_normal((3, 3)) for _ in range(2)]
+        assert best_anchor(mats) == (1, certificates(mats, 1)[0]) == _scan_anchors(mats)
+
+
+def test_best_anchor_validation():
+    with pytest.raises(DimensionError):
+        best_anchor([np.eye(2)])
+    with pytest.raises(DimensionError):
+        best_anchor([np.eye(2), np.eye(3)])
+    for bad in (np.nan, np.inf):
+        mats = [np.eye(2), 2.0 * np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]])]
+        with pytest.raises(DimensionError, match="finite"):
+            best_anchor(mats)
+        with pytest.raises(DimensionError, match="finite"):
+            certificates(mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(2, 12),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.sampled_from([-3.0, 0.0, 3.0]),
+)
+def test_certificates_invariant_under_relabelling(n_nodes, dim, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    mats = [10.0**log_scale * rng.standard_normal((dim, dim)) for _ in range(n_nodes)]
+    perm = rng.permutation(n_nodes)
+    moved = [mats[k] for k in perm]
+    # the quantities' own scales: |eigenvalue of S_k| <= n max|S|, mu <= N (2 n max|S|)^2
+    s_max = 2.0 * max(float(np.abs(a).max()) for a in mats)
+    anchor, mu = best_anchor(mats)
+    moved_anchor, moved_mu = best_anchor(moved)
+    assert moved_mu == pytest.approx(mu, rel=1e-12, abs=1e-12 * n_nodes * (2 * dim * s_max) ** 2)
+    _, eta, rho = certificates(mats, anchor)
+    _, moved_eta, moved_rho = certificates(moved, moved_anchor)
+    assert moved_eta == pytest.approx(eta, rel=1e-12, abs=1e-12 * dim * s_max)
+    assert moved_rho == pytest.approx(rho, rel=1e-12, abs=1e-12 * dim * s_max)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["sigma", "sigma_p", "sigma_i"])
+def test_non_finite_gain_rejected(demo8, name, value):
+    with pytest.raises(DimensionError, match=f"{name} must be finite"):
+        dataclasses.replace(demo8, **{name: value})
+    if name != "sigma":  # with_gains sets only the two controller gains
+        with pytest.raises(DimensionError, match=f"{name} must be finite"):
+            demo8.with_gains(**{name: value})
 
 
 def test_eta_rho_anchor_invariant():

@@ -44,8 +44,8 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
     with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as out:
         out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
         for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
-            out.write("".join([line % tuple(row) for row in chunk]))
+            chunk = rows[start : start + _CSV_CHUNK_ROWS]
+            out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _report_rows(report: StabilityReport) -> list[tuple[str, str]]:

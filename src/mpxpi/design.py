@@ -28,6 +28,8 @@ from .stability import (
     HURWITZ_TOL,
     MultiplexSystem,
     StabilityReport,
+    _eta_rho,
+    _symmetric_parts,
     averaged_dynamics,
     best_anchor,
     certificates,
@@ -97,7 +99,7 @@ def tune(
     a_eff = work.effective_a()
     if anchor is None:
         anchor, mu = best_anchor(a_eff)
-        _, eta, rho = certificates(a_eff, anchor)
+        eta, rho = _eta_rho(_symmetric_parts(a_eff))
     else:
         mu, eta, rho = certificates(a_eff, anchor)
 

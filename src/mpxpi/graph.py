@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import DimensionError, InvalidGraphError
 
@@ -121,16 +119,29 @@ def algebraic_connectivity(g: LayerGraph) -> float:
 
 
 def spanning_tree(g: LayerGraph) -> LayerGraph:
-    """Minimum spanning tree of a connected graph (candidate integral layer)."""
+    """Minimum spanning tree of a connected graph (candidate integral layer).
+
+    Kruskal's algorithm: the edges in order of weight, ties going to the
+    lowest canonical ``(i, j)`` (the sort is stable and the edges are stored
+    sorted), each kept when it joins two components of a union-find.
+    """
     if not is_connected(g):
         raise InvalidGraphError("spanning tree requires a connected graph")
-    if g.edge_count == 0:
-        return g
-    mst = minimum_spanning_tree(csr_matrix(g.adjacency())).tocoo()
-    edges = tuple(
-        (int(i) + 1, int(j) + 1, float(w)) for i, j, w in zip(mst.row, mst.col, mst.data)
-    )
-    return LayerGraph(g.node_count, edges)
+    parent = list(range(g.node_count + 1))
+
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]  # path halving
+            u = parent[u]
+        return u
+
+    tree = []
+    for i, j, w in sorted(g.edges, key=lambda edge: edge[2]):
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[ri] = rj
+            tree.append((i, j, w))
+    return LayerGraph(g.node_count, tuple(tree))
 
 
 # ---------------------------------------------------------------------------

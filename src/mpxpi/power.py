@@ -53,6 +53,8 @@ class PowerNetwork:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise DimensionError(f"{name} must have shape ({n},), got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise DimensionError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(self.inertia <= 0.0):
@@ -61,8 +63,8 @@ class PowerNetwork:
             raise DimensionError("damping must be positive")
         if self.p_layer.node_count != n:
             raise DimensionError("proportional layer node count differs from grid size")
-        if self.sigma_p < 0.0:
-            raise DimensionError("sigma_p must be non-negative")
+        if not (math.isfinite(self.sigma_p) and self.sigma_p >= 0.0):
+            raise DimensionError("sigma_p must be finite and non-negative")
         if not is_connected(self.electrical):
             raise DimensionError("electrical graph must be connected")
 

@@ -205,10 +205,14 @@ def certificates(a_list: Sequence[np.ndarray], anchor: int = 1) -> tuple[float, 
     sym = _symmetric_parts(a_list)
     if not 1 <= anchor <= len(sym):
         raise DimensionError(f"anchor {anchor} outside 1..{len(sym)}")
-    mu = _spread_mu(sym, anchor - 1)
+    return (_spread_mu(sym, anchor - 1), *_eta_rho(sym))
+
+
+def _eta_rho(sym: np.ndarray) -> tuple[float, float]:
+    """The anchor-free certificates (eta, rho) of a stack of ``A_k + A_k^T``."""
     eta = float(np.linalg.eigvalsh(sum(sym) / len(sym))[-1])
     rho = float(np.linalg.eigvalsh(sym)[:, -1].max())
-    return mu, eta, rho
+    return eta, rho
 
 
 def best_anchor(a_list: Sequence[np.ndarray]) -> tuple[int, float]:

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from mpxpi import netspec
+from mpxpi import cli, netspec
 from mpxpi.cli import main
 
 
@@ -125,6 +125,26 @@ def test_sweep_csv_shape(hetero8, tmp_path):
     assert len(lines) == 2 + 12
     row = lines[2].split(",")
     assert row[0] == "0" and row[3] in ("0", "1")
+
+
+def _csv_by_value(header_lines, columns, rows):
+    return "".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(7, 5), (2 * cli._CSV_CHUNK_ROWS + 3, 3), (1000, 4)])
+def test_write_csv_matches_per_value_format(tmp_path, n_rows, n_cols):
+    rng = np.random.default_rng(n_rows)
+    rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308]
+    rows.flat[: len(special)] = special
+    if n_cols == 4:  # sweep-shaped: sigma_p, sigma_i, abscissa, stable flag
+        rows[:, 3] = rows[:, 2] < 0.0
+    columns = [f"c{k}" for k in range(n_cols)]
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["seed 1", "dt 0.001"], columns, rows)
+    assert out.read_bytes() == _csv_by_value(["seed 1", "dt 0.001"], columns, rows).encode()
 
 
 def test_power_check_from_spec(grid16, capsys):

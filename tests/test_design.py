@@ -1,13 +1,29 @@
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from mpxpi import netspec
 from mpxpi.design import tune
 from mpxpi.errors import NotApplicableError, TuningInfeasibleError
-from mpxpi.graph import LayerGraph, empty_graph, path_graph, projection, ring_graph
+from mpxpi.graph import (
+    LayerGraph,
+    algebraic_connectivity,
+    empty_graph,
+    path_graph,
+    projection,
+    ring_graph,
+)
 from mpxpi.sim import error_system, simulate
-from mpxpi.stability import MultiplexSystem, NodeDynamics, check_theorem
+from mpxpi.stability import (
+    MultiplexSystem,
+    NodeDynamics,
+    best_anchor,
+    certificates,
+    check_theorem,
+    coupling_threshold,
+)
 
 from conftest import random_system
 
@@ -140,6 +156,44 @@ def test_anchor_scan_never_worse_than_node_one():
         except TuningInfeasibleError:
             continue
         assert tune(sys).sigma_p_min <= fixed + 1e-12
+
+
+def _tune_via_certificates(sys, slack=1e-6):
+    """tune's S4-S5 spelled out with the public certificate functions."""
+    a_eff = sys.effective_a()
+    anchor, mu = best_anchor(a_eff)
+    mu_direct, eta, rho = certificates(a_eff, anchor)
+    assert mu_direct == mu
+    threshold = coupling_threshold(mu, eta, rho, sys.n_nodes)
+    lam2_c = algebraic_connectivity(sys.layer_c)
+    sigma_p_min = max(0.0, threshold - sys.sigma * lam2_c) / algebraic_connectivity(sys.layer_p)
+    certified = sys.with_gains(sigma_p=sigma_p_min * (1.0 + slack) if sigma_p_min > 0 else slack)
+    return sigma_p_min, anchor, check_theorem(certified, anchor)
+
+
+def _bundled_and_random_systems():
+    yield netspec.parse_spec(resources.files("mpxpi.data").joinpath("hetero8.json"))[0]
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        yield random_system(rng, max_nodes=8, max_dim=3, damping=(0.8, 2.0))
+
+
+def test_tune_matches_certificate_pipeline_bitwise():
+    checked = 0
+    for sys in _bundled_and_random_systems():
+        try:
+            result = tune(sys)
+        except TuningInfeasibleError:
+            continue
+        checked += 1
+        sigma_p_min, anchor, report = _tune_via_certificates(sys)
+        assert result.sigma_p_min == sigma_p_min
+        assert result.anchor == anchor
+        for field in dataclasses.fields(report):
+            np.testing.assert_array_equal(
+                getattr(result.report, field.name), getattr(report, field.name), err_msg=field.name
+            )
+    assert checked >= 6
 
 
 def test_tuned_gain_is_sound():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,9 +121,17 @@ def test_spanning_tree_of_complete_graph():
     assert set(tree.edges) <= set(complete_graph(6).edges)
 
 
+def test_spanning_tree_ties_go_to_lowest_index_edges():
+    assert spanning_tree(complete_graph(4)).edges == ((1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0))
+
+
 def test_spanning_tree_needs_connected_input():
     with pytest.raises(InvalidGraphError):
         spanning_tree(empty_graph(3))
+
+
+def test_spanning_tree_of_single_node():
+    assert spanning_tree(empty_graph(1)) == empty_graph(1)
 
 
 def test_standard_topology_shapes():
@@ -172,3 +182,23 @@ def test_projection_laplacian_additive(n, seed):
     g2 = random_connected_graph(rng, n)
     lhs = laplacian(projection(g1, g2))
     np.testing.assert_allclose(lhs, laplacian(g1) + laplacian(g2), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
+def test_spanning_tree_has_minimum_weight(n, seed, tied):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    if tied:  # few distinct weights, so many minimum trees tie
+        g = LayerGraph(n, tuple((i, j, float(rng.integers(1, 3))) for i, j, _ in g.edges))
+    tree = spanning_tree(g)
+    assert tree.edge_count == n - 1
+    assert set(tree.edges) <= set(g.edges)
+    assert is_connected(tree)
+    # oracle: every (N - 1)-edge subset that connects the graph
+    best = min(
+        sum(w for _, _, w in subset)
+        for subset in itertools.combinations(g.edges, n - 1)
+        if is_connected(LayerGraph(n, subset))
+    )
+    assert sum(w for _, _, w in tree.edges) == pytest.approx(best, rel=1e-12)

@@ -237,3 +237,28 @@ def test_grid_fixture_realises_design_targets(grid16):
     assert grid16.local_gain.sum() == pytest.approx(0.05, abs=1e-9)
     free = [b for b in range(1, 17) if b not in fixtures.GRID_CONTROLLED_BUSES]
     assert all(grid16.local_gain[b - 1] == 0.0 for b in free)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("sigma_p", np.nan),
+        ("sigma_p", np.inf),
+        ("inertia", np.nan),
+        ("inertia", np.inf),
+        ("damping", np.nan),
+        ("damping", np.inf),
+        ("local_gain", np.nan),
+        ("local_gain", -np.inf),
+        ("injection", np.nan),
+        ("injection", np.inf),
+    ],
+)
+def test_power_network_rejects_non_finite_values(grid16, name, value):
+    if name == "sigma_p":
+        bad = value
+    else:
+        bad = getattr(grid16, name).copy()
+        bad[3] = value
+    with pytest.raises(DimensionError, match=f"{name} must be finite"):
+        dataclasses.replace(grid16, **{name: bad})

@@ -169,10 +169,10 @@ def _parse_grid(text: str) -> np.ndarray:
 def _cmd_sweep(args) -> int:
     system, _ = netspec.parse_spec(args.spec)
     result = sim_mod.sweep(system, _parse_grid(args.sigma_p), _parse_grid(args.sigma_i))
-    rows = []
-    for i, sp in enumerate(result.sigma_p):
-        for j, si in enumerate(result.sigma_i):
-            rows.append((sp, si, result.abscissa[i, j], float(result.stable[i, j])))
+    sp, si = result.sigma_p, result.sigma_i
+    rows = np.column_stack(
+        [np.repeat(sp, si.size), np.tile(si, sp.size), result.abscissa.ravel(), result.stable.ravel()]
+    )
     _write_csv(
         args.out,
         [f"sigma_p={args.sigma_p} sigma_i={args.sigma_i}"],
@@ -208,7 +208,6 @@ def _cmd_power(args) -> int:
 def _cmd_power_demo(args) -> int:
     grid = fixtures.sixteen_bus_grid(sigma_p=args.sigma_p)
     report = power_mod.check_power(grid)
-    _print_pairs(_power_rows(report), args.format)
     trace = power_mod.simulate_power(
         grid,
         disturbances=fixtures.GRID_DISTURBANCES,
@@ -217,6 +216,7 @@ def _cmd_power_demo(args) -> int:
         dt=args.dt,
         record_every=args.record_every,
     )
+    _print_pairs(_power_rows(report), args.format)
     final_dev = float(np.abs(trace.omega[-1] - 60.0).max())
     on = trace.times >= fixtures.GRID_CONTROL_ON_TIME
     overshoot = float(np.abs(trace.omega[on] - 60.0).max())

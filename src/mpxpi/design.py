@@ -11,6 +11,9 @@ The pipeline mirrors how the certificates are meant to be used in practice:
   S5  solve the coupling inequality for sigma_P on the fixed proportional
       layer.
 
+S1, S2 and S4 are one gain-free evaluation of the report that
+:func:`mpxpi.stability.check_theorem` gives; S5 completes it at the cutoff.
+
 A helper for extracting a spanning tree (a natural minimal integral layer)
 lives in :mod:`mpxpi.graph`.
 """
@@ -23,19 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotApplicableError, TuningInfeasibleError
-from .graph import algebraic_connectivity, is_connected
+from .graph import is_connected
 from .stability import (
-    HURWITZ_TOL,
     MultiplexSystem,
     StabilityReport,
-    _eta_rho,
-    _symmetric_parts,
-    averaged_dynamics,
-    best_anchor,
-    certificates,
-    check_theorem,
+    _evaluate,
+    _with_gains,
     consensusability_fold,
-    coupling_threshold,
 )
 
 
@@ -54,11 +51,6 @@ class TuningResult:
     used_local_feedback: bool
     anchor: int
     report: StabilityReport
-
-
-def _average_ok(sys: MultiplexSystem) -> bool:
-    psi11, nonsingular, _ = averaged_dynamics(sys)
-    return nonsingular and float(np.linalg.eigvalsh(psi11 + psi11.T)[-1]) < -HURWITZ_TOL
 
 
 def tune(
@@ -82,7 +74,8 @@ def tune(
 
     used_feedback = False
     work = sys
-    if not _average_ok(work):
+    core = _evaluate(work, anchor)
+    if not core.condition_i:
         if h_list is None:
             raise TuningInfeasibleError(
                 "averaged dynamics fail the stability prerequisite and no local "
@@ -90,33 +83,23 @@ def tune(
             )
         work = consensusability_fold(work, h_list)
         used_feedback = True
-        if not _average_ok(work):
+        core = _evaluate(work, anchor)
+        if not core.condition_i:
             raise TuningInfeasibleError(
                 "averaged dynamics still fail the prerequisite after folding the "
                 "supplied local feedback"
             )
 
-    a_eff = work.effective_a()
-    if anchor is None:
-        anchor, mu = best_anchor(a_eff)
-        eta, rho = _eta_rho(_symmetric_parts(a_eff))
-    else:
-        mu, eta, rho = certificates(a_eff, anchor)
-
-    threshold = coupling_threshold(mu, eta, rho, work.n_nodes)
-
-    lam2_p = algebraic_connectivity(work.layer_p)
-    if lam2_p <= 0.0:
+    if core.lambda2_p <= 0.0:
         raise NotApplicableError("proportional layer is disconnected; cannot solve for sigma_P")
-    lam2_c = algebraic_connectivity(work.layer_c)
-    sigma_p_min = max(0.0, threshold - work.sigma * lam2_c) / lam2_p
+    sigma_p_min = max(0.0, core.threshold - work.sigma * core.lambda2_c) / core.lambda2_p
 
     certified = work.with_gains(sigma_p=sigma_p_min * (1.0 + slack) if sigma_p_min > 0 else slack)
-    report = check_theorem(certified, anchor)
+    report = _with_gains(core, certified)
     return TuningResult(
         sigma_p_min=sigma_p_min,
         feasible=report.passed,
         used_local_feedback=used_feedback,
-        anchor=anchor,
+        anchor=report.anchor,
         report=report,
     )

@@ -254,8 +254,8 @@ def simulate_power(
     spaced. Divergent runs are truncated and flagged, as in
     :func:`mpxpi.sim.simulate`.
     """
-    if dt <= 0.0 or t_end <= dt:
-        raise ValueError("need 0 < dt < t_end")
+    if not 0.0 < dt < t_end < np.inf:
+        raise ValueError("need finite 0 < dt < t_end")
     n = pn.n_nodes
     for _, bus, _ in disturbances:
         if not 1 <= int(bus) <= n:

@@ -22,7 +22,7 @@ from . import kernels
 from .errors import DimensionError, NoEquilibriumError
 from .graph import LayerGraph, is_connected, laplacian
 from .spectral import block_decompose, psi_blocks
-from .stability import MultiplexSystem, averaged_dynamics, check_theorem
+from .stability import MultiplexSystem, _with_gains, averaged_dynamics, check_theorem
 
 #: Spectral abscissa below -STABLE_TOL counts as stable; within +-STABLE_TOL
 #: a sweep cell is flagged marginal.
@@ -188,12 +188,14 @@ def simulate(
     z0 is therefore not accepted. ``record_every`` thins the stored samples
     without affecting the integration step.
     """
-    if dt <= 0.0 or t_end <= dt:
-        raise ValueError("need 0 < dt < t_end")
+    if not 0.0 < dt < t_end < np.inf:
+        raise ValueError("need finite 0 < dt < t_end")
     x0 = np.asarray(x0, dtype=float).ravel()
     size = sys.n_nodes * sys.state_dim
     if x0.shape != (size,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({size},)")
+    if not np.isfinite(x0).all():
+        raise DimensionError("x0 must be finite")
     loop = assemble(sys)
     n_steps = int(round(t_end / dt))
     y0 = np.concatenate([x0, np.zeros(size)])
@@ -264,11 +266,12 @@ def certified_cells(sys: MultiplexSystem, result: SweepResult, anchor: int = 1) 
     """Boolean mask of grid cells whose gains pass the sufficient conditions.
 
     Condition (i) ignores the gains, (ii) depends on sigma_P alone and (iii)
-    on sigma_I alone, so one check per row and one per column decide every
-    cell.
+    on sigma_I alone, so one check, completed again per row and per column,
+    decides every cell.
     """
-    rows = [check_theorem(sys.with_gains(sigma_p=float(sp)), anchor) for sp in result.sigma_p]
-    cols = [check_theorem(sys.with_gains(sigma_i=float(si)), anchor) for si in result.sigma_i]
+    report = check_theorem(sys, anchor)
+    rows = [_with_gains(report, sys.with_gains(sigma_p=float(sp))) for sp in result.sigma_p]
+    cols = [_with_gains(report, sys.with_gains(sigma_i=float(si))) for si in result.sigma_i]
     return np.logical_and.outer(
-        [r.condition_i and r.condition_ii for r in rows], [c.condition_iii for c in cols]
+        [report.condition_i and r.condition_ii for r in rows], [c.condition_iii for c in cols]
     )

@@ -258,8 +258,9 @@ def consensusability_fold(
 ) -> MultiplexSystem:
     """Return the system with local feedback gains absorbed into the A_i.
 
-    Subsequent checks and simulations see ``A_i + H_i``; the consensus point
-    moves accordingly since the averaged dynamics change.
+    Subsequent checks and simulations see ``A_i + H_i``, where A_i already
+    includes any existing ``local_feedback``; the consensus point moves
+    accordingly since the averaged dynamics change.
     """
     mats = [np.asarray(h, dtype=float) for h in h_list]
     if len(mats) != sys.n_nodes:
@@ -270,7 +271,7 @@ def consensusability_fold(
             raise DimensionError(
                 f"feedback matrix {k + 1} has shape {h.shape}, expected ({dim}, {dim})"
             )
-    nodes = tuple(NodeDynamics(nd.A + h, nd.b) for nd, h in zip(sys.nodes, mats))
+    nodes = tuple(NodeDynamics(a + h, nd.b) for nd, a, h in zip(sys.nodes, sys.effective_a(), mats))
     return dataclasses.replace(sys, nodes=nodes, local_feedback=None)
 
 
@@ -325,54 +326,67 @@ def coupling_threshold(mu: float, eta: float, rho: float, n_nodes: int) -> float
     return 0.5 * (spread_term + rho)
 
 
-def _evaluate(sys: MultiplexSystem, anchor: int, mode: str) -> StabilityReport:
+def _evaluate(sys: MultiplexSystem, anchor: int | None) -> StabilityReport:
+    """The gain-free part of the report, at ``anchor`` or (None) the best one.
+
+    The coupling, conditions (ii) and (iii) and their margins are left for
+    :func:`_with_gains`; ``mode`` is "homogeneous" or left for it to name.
+    """
     a_eff = sys.effective_a()
-    mu, eta, rho = certificates(a_eff, anchor)
+    if anchor is None:
+        anchor, mu = best_anchor(a_eff)
+        eta, rho = _eta_rho(_symmetric_parts(a_eff))
+    else:
+        mu, eta, rho = certificates(a_eff, anchor)
     _, nonsingular, x_inf = averaged_dynamics(sys)
     hurwitz = bool(eta < -HURWITZ_TOL)
     condition_i = nonsingular and hurwitz
-    threshold = coupling_threshold(mu, eta, rho, sys.n_nodes)
-
-    lam2_c = algebraic_connectivity(sys.layer_c)
-    lam2_p = algebraic_connectivity(sys.layer_p)
-    lam2_i = algebraic_connectivity(sys.layer_i)
-
-    if mode == "projection":
-        coupling = float(np.linalg.eigvalsh(weighted_projection_laplacian(sys))[1])
-        condition_ii = _weighted_projection_connected(sys) and coupling > threshold
-    else:
-        coupling = sys.sigma * lam2_c + sys.sigma_p * lam2_p
-        condition_ii = coupling > threshold
-
-    condition_iii = is_connected(sys.layer_i) and sys.sigma_i > 0.0
-
     return StabilityReport(
         mu=mu,
         eta=eta,
         rho=rho,
-        lambda2_c=lam2_c,
-        lambda2_p=lam2_p,
-        lambda2_i=lam2_i,
-        threshold=threshold,
-        coupling=coupling,
+        lambda2_c=algebraic_connectivity(sys.layer_c),
+        lambda2_p=algebraic_connectivity(sys.layer_p),
+        lambda2_i=algebraic_connectivity(sys.layer_i),
+        threshold=coupling_threshold(mu, eta, rho, sys.n_nodes),
+        coupling=np.nan,
         condition_i=condition_i,
-        condition_ii=condition_ii,
-        condition_iii=condition_iii,
+        condition_ii=False,
+        condition_iii=False,
         margin_i=-eta,
-        margin_ii=coupling - threshold,
-        margin_iii=min(lam2_i, sys.sigma_i),
+        margin_ii=np.nan,
+        margin_iii=np.nan,
         psi11_nonsingular=nonsingular,
         psi11_hurwitz=hurwitz,
         x_infinity=x_inf,
-        mode=_label(mode, a_eff, condition_i),
+        mode="homogeneous" if condition_i and _homogeneous(a_eff) else "",
         anchor=anchor,
     )
 
 
-def _label(mode: str, a_eff: Sequence[np.ndarray], condition_i: bool) -> str:
-    if _homogeneous(a_eff) and condition_i:
-        return "homogeneous"
-    return "direct" if mode == "direct" else "projection"
+def _with_gains(report: StabilityReport, sys: MultiplexSystem, projection: bool = False) -> StabilityReport:
+    """``report`` from :func:`_evaluate`, completed for the gains of ``sys``.
+
+    ``sys`` must match the evaluated system except in sigma_P and sigma_I.
+    The direct coupling form needs a connected open-loop layer with sigma > 0;
+    otherwise, or when ``projection`` forces it, the merged-layer form is used.
+    """
+    direct = not projection and sys.sigma > 0.0 and is_connected(sys.layer_c)
+    if direct:
+        coupling = sys.sigma * report.lambda2_c + sys.sigma_p * report.lambda2_p
+        condition_ii = coupling > report.threshold
+    else:
+        coupling = float(np.linalg.eigvalsh(weighted_projection_laplacian(sys))[1])
+        condition_ii = _weighted_projection_connected(sys) and coupling > report.threshold
+    return dataclasses.replace(
+        report,
+        coupling=coupling,
+        condition_ii=condition_ii,
+        condition_iii=is_connected(sys.layer_i) and sys.sigma_i > 0.0,
+        margin_ii=coupling - report.threshold,
+        margin_iii=min(report.lambda2_i, sys.sigma_i),
+        mode="homogeneous" if report.mode == "homogeneous" else ("direct" if direct else "projection"),
+    )
 
 
 def check_theorem(sys: MultiplexSystem, anchor: int = 1) -> StabilityReport:
@@ -383,9 +397,7 @@ def check_theorem(sys: MultiplexSystem, anchor: int = 1) -> StabilityReport:
     the common sigma = 0 case) the check falls back to the merged-layer form,
     requiring the gain-weighted projection of C and P to be connected.
     """
-    if is_connected(sys.layer_c) and sys.sigma > 0.0:
-        return _evaluate(sys, anchor, "direct")
-    return _evaluate(sys, anchor, "projection")
+    return _with_gains(_evaluate(sys, anchor), sys)
 
 
 def check_projection(sys: MultiplexSystem, anchor: int = 1) -> StabilityReport:
@@ -395,4 +407,4 @@ def check_projection(sys: MultiplexSystem, anchor: int = 1) -> StabilityReport:
         raise NotApplicableError(
             "gain-weighted projection of layers C and P is not connected"
         )
-    return _evaluate(sys, anchor, "projection")
+    return _with_gains(_evaluate(sys, anchor), sys, projection=True)

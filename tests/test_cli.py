@@ -7,6 +7,7 @@ import pytest
 
 from mpxpi import cli, netspec
 from mpxpi.cli import main
+from mpxpi.sim import sweep
 
 
 def _bundled(name: str) -> str:
@@ -127,6 +128,20 @@ def test_sweep_csv_shape(hetero8, tmp_path):
     assert row[0] == "0" and row[3] in ("0", "1")
 
 
+def test_sweep_rows_match_per_cell_layout(hetero8, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", hetero8, "--sigma-p", "0:30:4", "--sigma-i", "5:40:7",
+                 "--out", str(out)]) == 0
+    system, _ = netspec.parse_spec(hetero8)
+    result = sweep(system, np.linspace(0.0, 30.0, 4), np.linspace(5.0, 40.0, 7))
+    expected = [
+        ",".join("%.17g" % v for v in (sp, si, result.abscissa[i, j], float(result.stable[i, j])))
+        for i, sp in enumerate(result.sigma_p)
+        for j, si in enumerate(result.sigma_i)
+    ]
+    assert out.read_text().splitlines()[2:] == expected
+
+
 def _csv_by_value(header_lines, columns, rows):
     return "".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n" + "".join(
         ",".join("%.17g" % v for v in row) + "\n" for row in rows
@@ -224,6 +239,36 @@ def test_sweep_rejects_infinite_grid_end_without_warning(hetero8, capsys, flag, 
     captured = capsys.readouterr()
     assert f"{grid}: grid values must be finite and non-negative" in captured.err
     assert captured.out == ""
+
+
+def _assert_clean_input_error(captured, text):
+    assert captured.err.startswith("error: ") and text in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"), ("--dt", "nan")])
+def test_simulate_rejects_non_finite_times(hetero8, capsys, flag, value):
+    assert main(["simulate", hetero8, flag, value]) == 2
+    captured = capsys.readouterr()
+    _assert_clean_input_error(captured, "finite 0 < dt < t_end")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"), ("--dt", "nan")])
+def test_power_demo_rejects_non_finite_times(capsys, flag, value):
+    assert main(["power-demo", flag, value]) == 2
+    captured = capsys.readouterr()
+    _assert_clean_input_error(captured, "finite 0 < dt < t_end")
+    assert captured.out == ""
+
+
+def test_simulate_rejects_non_finite_x0_file(hetero8, tmp_path, capsys):
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps([float("nan")] + [0.0] * 15))
+    out = tmp_path / "t.csv"
+    assert main(["simulate", hetero8, "--t-end", "1.0", "--x0", str(x0), "--out", str(out)]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "x0 must be finite")
+    assert not out.exists()
 
 
 def test_simulate_rejects_zero_record_every(hetero8, capsys):

@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from mpxpi import netspec
+from mpxpi import design, netspec, stability
 from mpxpi.design import tune
 from mpxpi.errors import NotApplicableError, TuningInfeasibleError
 from mpxpi.graph import (
@@ -219,3 +219,32 @@ def test_tuned_gain_is_sound():
             assert not trace.divergent
             assert trace.d_x[-1] < trace.d_x[0]
     assert checked >= 10
+
+
+@pytest.mark.parametrize("anchor", [None, 3])
+def test_tune_evaluates_eta_and_rho_once(demo8, monkeypatch, anchor):
+    calls = []
+    eta_rho = stability._eta_rho
+    counted = lambda sym: calls.append(1) or eta_rho(sym)  # noqa: E731
+    monkeypatch.setattr(stability, "_eta_rho", counted)
+    # also where tune might hold its own reference to the helper
+    monkeypatch.setattr(design, "_eta_rho", counted, raising=False)
+    tune(demo8, anchor=anchor)
+    assert len(calls) == 1
+
+
+def test_tune_infeasible_exactly_when_condition_i_fails():
+    # weak damping lets some draws fail condition (i)
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(24):
+        sys = random_system(rng, damping=(-0.5, 1.5))
+        condition_i = check_theorem(sys).condition_i
+        seen.add(condition_i)
+        try:
+            tune(sys)
+        except TuningInfeasibleError:
+            assert not condition_i
+        else:
+            assert condition_i
+    assert seen == {True, False}

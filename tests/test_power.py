@@ -223,6 +223,12 @@ def test_simulate_power_validates_buses(grid16):
         simulate_power(grid16, ((0.0, 99, -0.1),), 0.0, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("t_end, dt", [(np.inf, 2e-5), (np.nan, 2e-5), (1.0, np.nan), (1.0, np.inf)])
+def test_simulate_power_rejects_non_finite_times(grid16, t_end, dt):
+    with pytest.raises(ValueError, match="finite 0 < dt < t_end"):
+        simulate_power(grid16, (), 0.0, t_end, dt)
+
+
 def test_simulate_power_flags_step_size_blowup(grid16):
     # dt far beyond the integrator's stability limit for sigma_p = 55
     trace = simulate_power(grid16, (), control_on_time=0.0, t_end=1.0, dt=1e-3, record_every=10)

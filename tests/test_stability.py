@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpxpi.errors import DimensionError, NoEquilibriumError, NotApplicableError
-from mpxpi.graph import LayerGraph, empty_graph, path_graph, ring_graph
+from mpxpi.graph import LayerGraph, empty_graph, laplacian, path_graph, ring_graph
 from mpxpi.sim import equilibrium, error_system
 from mpxpi.stability import (
     MultiplexSystem,
@@ -174,6 +174,33 @@ def test_fold_zero_feedback_is_identity(demo8):
     folded = consensusability_fold(demo8, [np.zeros((2, 2))] * 8)
     for before, after in zip(demo8.nodes, folded.nodes):
         np.testing.assert_array_equal(before.A, after.A)
+
+
+def test_fold_zero_feedback_keeps_existing_local_feedback(demo8):
+    # H = -0.5 I on every node; folding zeros must not drop it
+    with_h = dataclasses.replace(demo8, local_feedback=(-0.5 * np.eye(2),) * 8)
+    folded = consensusability_fold(with_h, [np.zeros((2, 2))] * 8)
+    assert folded.local_feedback is None
+    np.testing.assert_array_equal(folded.effective_a(), with_h.effective_a())
+    before, after = check_theorem(with_h), check_theorem(folded)
+    for field in dataclasses.fields(before):
+        np.testing.assert_array_equal(
+            getattr(after, field.name), getattr(before, field.name), err_msg=field.name
+        )
+
+
+def test_check_projection_keeps_merged_form_on_homogeneous_network():
+    nodes = tuple(NodeDynamics(-np.eye(2), np.array([1.0, float(k)])) for k in range(4))
+    sys = MultiplexSystem(
+        nodes=nodes, layer_c=ring_graph(4), layer_p=path_graph(4), layer_i=path_graph(4),
+        sigma=0.5, sigma_p=2.0, sigma_i=1.0,
+    )
+    direct, merged = check_theorem(sys), check_projection(sys)
+    assert direct.mode == merged.mode == "homogeneous"
+    assert direct.coupling == 0.5 * direct.lambda2_c + 2.0 * direct.lambda2_p
+    lap = 0.5 * laplacian(sys.layer_c) + 2.0 * laplacian(sys.layer_p)
+    assert merged.coupling == pytest.approx(np.linalg.eigvalsh(lap)[1], rel=1e-12)
+    assert merged.coupling > direct.coupling
 
 
 def test_fold_can_break_and_fix_the_average():

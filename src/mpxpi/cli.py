@@ -3,7 +3,10 @@
 Subcommands: check, tune, simulate, sweep, power, power-demo. Exit codes:
 0 on success / all conditions passing, 1 when a stability condition fails,
 2 on input errors. CSV output is deterministic for fixed inputs and seeds
-(full double precision, seeds echoed in the header).
+(full double precision, seeds echoed in the header). Traces are stepped by
+:mod:`mpxpi.kernels` in blocks of samples; a CSV of more than one span of
+rows is formatted on all usable CPUs by forked workers, byte for byte as one
+process would.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -30,22 +35,97 @@ from .spectral import block_decompose, verify_block_properties
 from .stability import StabilityReport, check_projection, check_theorem
 
 _FMT = "%.17g"
-_CSV_CHUNK_ROWS = 4096
+_CSV_CHUNK_ROWS = 2048
 
 
 def _num(x: float) -> str:
     return _FMT % x
 
 
+def _format_span(rows: np.ndarray, line: str, start: int, stop: int) -> bytes:
+    """Rows ``start:stop`` as CSV text, every value formatted with ``_FMT``."""
+    span = rows[start:stop]
+    return ((line * len(span)) % tuple(span.ravel().tolist())).encode("ascii")
+
+
+def _format_worker(conn, readers, rows: np.ndarray, line: str, spans: list[tuple[int, int]]) -> None:
+    # Ctrl-C reaches the whole process group; the writer ends the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Receiving ends inherited at the fork: with them closed, only the parent
+    # reads this pipe, so a send fails once the parent is gone.
+    for reader in readers:
+        reader.close()
+    try:
+        for start, stop in spans:
+            conn.send_bytes(_format_span(rows, line, start, stop))
+    except BrokenPipeError:  # the parent died without ending the workers
+        pass
+
+
+@contextlib.contextmanager
+def _span_workers(workers: int, rows: np.ndarray, line: str, spans: list[tuple[int, int]]):
+    """Forked workers, worker ``k`` formatting ``spans[k::workers]`` in order.
+
+    Yields one receiving pipe end per worker; on exit the workers are joined,
+    after being terminated if the body raised. Fork hands each worker the
+    rows without pickling them; the workers only format floats and send
+    bytes, so they take no lock that another thread of the parent may have
+    held at the fork. A worker blocks on its pipe until the parent reads, so
+    at most two spans per worker are in flight. The parent reads in its own
+    thread: a pool's result thread would allocate every span in a fresh
+    malloc arena, and the parent's peak memory would grow with each call.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            args = (send, list(conns), rows, line, spans[k::workers])
+            proc = ctx.Process(target=_format_worker, args=args)
+            proc.start()
+            procs.append(proc)
+            send.close()  # the worker holds the only send end, so its exit ends the pipe
+        yield conns
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+
+
 def _write_csv(path: str | None, header_lines: list[str], columns: list[str], rows) -> None:
-    # Streamed in chunks of rows, so a long trace never sits in memory as text.
+    """Write ``rows`` under a header, to ``path`` or standard output.
+
+    Rows are formatted in spans of ``_CSV_CHUNK_ROWS``, so a long trace never
+    sits in memory as text. With more than one span and more than one usable
+    CPU, forked workers format the spans and the parent writes them in order.
+    """
     rows = np.asarray(rows, dtype=float)
     line = ",".join([_FMT] * len(columns)) + "\n"
-    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as out:
+    starts = range(0, len(rows), _CSV_CHUNK_ROWS)
+    spans = [(start, min(start + _CSV_CHUNK_ROWS, len(rows))) for start in starts]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(spans))
+    with contextlib.ExitStack() as stack:
+        # The workers fork before the output is opened, so none inherits it.
+        conns = None
+        if workers > 1:
+            conns = stack.enter_context(_span_workers(workers, rows, line, spans))
+        out = stack.enter_context(open(path, "w")) if path is not None else sys.stdout
         out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
-        for start in range(0, rows.shape[0], _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS]
-            out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for k, (start, stop) in enumerate(spans):
+            if conns is None:
+                text = _format_span(rows, line, start, stop)
+            else:
+                text = conns[k % workers].recv_bytes()
+            out.write(text.decode("ascii"))
 
 
 def _report_rows(report: StabilityReport) -> list[tuple[str, str]]:
@@ -123,7 +203,12 @@ def _resolve_x0(spec: str, size: int) -> tuple[np.ndarray, str]:
         seed = int(spec.split(":", 1)[1])
         rng = np.random.default_rng(seed)
         return rng.standard_normal(size), f"x0=random:{seed}"
-    data = np.asarray(json.loads(Path(spec).read_text()), dtype=float)
+    text = Path(spec).read_text()
+    try:
+        data = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError) as exc:  # not JSON, or not an array of numbers
+        message = f"x0 must be a JSON list of {size} numbers ({exc})"
+        raise SpecFormatError("bad-type", spec, message) from None
     if data.shape != (size,):
         raise SpecFormatError("dimension", spec, f"x0 must have {size} entries")
     return data, f"x0=file:{spec}"

@@ -168,6 +168,8 @@ class StabilityReport:
     x_infinity: np.ndarray | None
     mode: str
     anchor: int
+    # Connectivity of the evaluated system's layers, for _with_gains to reuse.
+    _links: _Links | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -284,14 +286,31 @@ def weighted_projection_laplacian(sys: MultiplexSystem) -> np.ndarray:
     return sys.sigma * laplacian(sys.layer_c) + sys.sigma_p * laplacian(sys.layer_p)
 
 
-def _weighted_projection_connected(sys: MultiplexSystem) -> bool:
-    # Connectivity ignores weights: only which layers carry a positive gain matters.
-    empty = LayerGraph(sys.n_nodes)
-    return is_connected(
-        projection(
-            sys.layer_c if sys.sigma > 0.0 else empty,
-            sys.layer_p if sys.sigma_p > 0.0 else empty,
-        )
+@dataclass(frozen=True)
+class _Links:
+    """Which layers of a system connect all its nodes.
+
+    Connectivity ignores weights, so with sigma fixed the merged C/P layer of
+    the coupling condition depends on the gains only through sigma_P > 0.
+    """
+
+    layer_c: bool
+    layer_i: bool
+    open_loop: bool  # C when sigma > 0, else no edges
+    open_loop_and_p: bool  # that layer merged with P
+
+    def merged(self, sigma_p: float) -> bool:
+        """Whether the gain-weighted merge of C and P connects all nodes."""
+        return self.open_loop_and_p if sigma_p > 0.0 else self.open_loop
+
+
+def _connectivity(sys: MultiplexSystem) -> _Links:
+    open_loop = sys.layer_c if sys.sigma > 0.0 else LayerGraph(sys.n_nodes)
+    return _Links(
+        layer_c=is_connected(sys.layer_c),
+        layer_i=is_connected(sys.layer_i),
+        open_loop=is_connected(open_loop),
+        open_loop_and_p=is_connected(projection(open_loop, sys.layer_p)),
     )
 
 
@@ -361,6 +380,7 @@ def _evaluate(sys: MultiplexSystem, anchor: int | None) -> StabilityReport:
         x_infinity=x_inf,
         mode="homogeneous" if condition_i and _homogeneous(a_eff) else "",
         anchor=anchor,
+        _links=_connectivity(sys),
     )
 
 
@@ -371,18 +391,19 @@ def _with_gains(report: StabilityReport, sys: MultiplexSystem, projection: bool 
     The direct coupling form needs a connected open-loop layer with sigma > 0;
     otherwise, or when ``projection`` forces it, the merged-layer form is used.
     """
-    direct = not projection and sys.sigma > 0.0 and is_connected(sys.layer_c)
+    links = report._links
+    direct = not projection and sys.sigma > 0.0 and links.layer_c
     if direct:
         coupling = sys.sigma * report.lambda2_c + sys.sigma_p * report.lambda2_p
         condition_ii = coupling > report.threshold
     else:
         coupling = float(np.linalg.eigvalsh(weighted_projection_laplacian(sys))[1])
-        condition_ii = _weighted_projection_connected(sys) and coupling > report.threshold
+        condition_ii = links.merged(sys.sigma_p) and coupling > report.threshold
     return dataclasses.replace(
         report,
         coupling=coupling,
         condition_ii=condition_ii,
-        condition_iii=is_connected(sys.layer_i) and sys.sigma_i > 0.0,
+        condition_iii=links.layer_i and sys.sigma_i > 0.0,
         margin_ii=coupling - report.threshold,
         margin_iii=min(report.lambda2_i, sys.sigma_i),
         mode="homogeneous" if report.mode == "homogeneous" else ("direct" if direct else "projection"),
@@ -403,8 +424,9 @@ def check_theorem(sys: MultiplexSystem, anchor: int = 1) -> StabilityReport:
 def check_projection(sys: MultiplexSystem, anchor: int = 1) -> StabilityReport:
     """Merged-layer variant: lambda_2 of sigma L_C + sigma_P L_P must clear
     the threshold. Raises when that projection is disconnected."""
-    if not _weighted_projection_connected(sys):
+    report = _evaluate(sys, anchor)
+    if not report._links.merged(sys.sigma_p):
         raise NotApplicableError(
             "gain-weighted projection of layers C and P is not connected"
         )
-    return _with_gains(_evaluate(sys, anchor), sys, projection=True)
+    return _with_gains(report, sys, projection=True)

@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+import weakref
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mpxpi import cli, netspec
 from mpxpi.cli import main
+from mpxpi.errors import SpecFormatError
 from mpxpi.sim import sweep
 
 
@@ -148,7 +159,15 @@ def _csv_by_value(header_lines, columns, rows):
     )
 
 
-@pytest.mark.parametrize("n_rows, n_cols", [(7, 5), (2 * cli._CSV_CHUNK_ROWS + 3, 3), (1000, 4)])
+def _usable_cpus(monkeypatch, cpus):
+    # The writer takes its worker count from the CPU affinity mask.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+SPAN = cli._CSV_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(7, 5), (4 * SPAN + 3, 3), (1000, 4)])
 def test_write_csv_matches_per_value_format(tmp_path, n_rows, n_cols):
     rng = np.random.default_rng(n_rows)
     rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
@@ -160,6 +179,111 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows, n_cols):
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), ["seed 1", "dt 0.001"], columns, rows)
     assert out.read_bytes() == _csv_by_value(["seed 1", "dt 0.001"], columns, rows).encode()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_rows", [1, SPAN - 1, SPAN, SPAN + 1, 5 * SPAN + 17])
+def test_write_csv_matches_per_value_format_at_span_edges(tmp_path, monkeypatch, cpus, n_rows):
+    _usable_cpus(monkeypatch, cpus)
+    rows = np.random.default_rng(n_rows).standard_normal((n_rows, 3)) * 1e3
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), [], ["a", "b", "c"], rows)
+    assert out.read_bytes() == _csv_by_value([], ["a", "b", "c"], rows).encode()
+
+
+def _many_span_rows():
+    rows = np.random.default_rng(9).standard_normal((3 * SPAN + 5, 4))
+    rows[:, 0] = np.arange(len(rows))
+    return rows
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    rows = _many_span_rows()
+    columns = ["t", "a", "b", "c"]
+    want = _csv_by_value(["seed 9"], columns, rows)
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ["seed 9"], columns, rows)
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    cli._write_csv(None, ["seed 9"], columns, rows)
+    assert capsys.readouterr().out == want
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_csv(None, ["seed 9"], columns, rows)
+    assert buf.getvalue() == want
+    assert multiprocessing.active_children() == []
+
+
+def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    rows = _many_span_rows()
+    alive = weakref.ref(rows)
+    cli._write_csv(str(tmp_path / "rows.csv"), [], ["t", "a", "b", "c"], rows)
+    del rows
+    assert alive() is None
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_to_full_device_exits_2(hetero8, capsys, monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    assert main(["simulate", hetero8, "--t-end", "5", "--out", "/dev/full"]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "No space left on device")
+    assert multiprocessing.active_children() == []
+    assert main(["simulate", hetero8, "--t-end", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3 + 5001
+    assert multiprocessing.active_children() == []
+
+
+def _child_pids(pid):
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[1] == str(pid) and fields[0] != "Z":
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="needs 2 CPUs")
+def test_workers_exit_when_the_writer_is_killed(hetero8, tmp_path):
+    # A writer killed outright cannot end its workers: they must see the
+    # closed pipe and exit instead of blocking on it for good.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "mpxpi.cli", "simulate", hetero8, "--out", str(tmp_path / "t.csv")]
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            workers = _child_pids(proc.pid)
+            time.sleep(0.005)
+        assert workers, "the writer forked no workers"
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 30
+    while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    stuck = [pid for pid in workers if _running(pid)]
+    for pid in stuck:
+        os.kill(pid, signal.SIGKILL)
+    assert not stuck
 
 
 def test_power_check_from_spec(grid16, capsys):
@@ -260,6 +384,18 @@ def test_power_demo_rejects_non_finite_times(capsys, flag, value):
     captured = capsys.readouterr()
     _assert_clean_input_error(captured, "finite 0 < dt < t_end")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ['{"a": 1}', '[{"a": 1}]', '["a"]', '[[1], [1, 2]]', "[1,"])
+def test_simulate_rejects_x0_file_that_is_no_list_of_numbers(hetero8, tmp_path, capsys, text):
+    x0 = tmp_path / "x0.json"
+    x0.write_text(text)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", hetero8, "--t-end", "1.0", "--x0", str(x0), "--out", str(out)]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "x0 must be a JSON list of 16 numbers")
+    assert not out.exists()
+    with pytest.raises(SpecFormatError):
+        cli._resolve_x0(str(x0), 16)
 
 
 def test_simulate_rejects_non_finite_x0_file(hetero8, tmp_path, capsys):

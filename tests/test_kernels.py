@@ -68,6 +68,51 @@ def test_step_map_truncates_where_stage_loop_does(rate, dt, n_steps, stride, row
     assert got.shape == (rows, 1)
 
 
+BLOCK = kernels._BLOCK
+
+
+@pytest.mark.parametrize(
+    ("n_steps", "stride"),
+    [(3 * BLOCK + 1, 1), (2 * BLOCK - 1, 1), (BLOCK + 1, 1), (10 * (BLOCK + 5), 10)],
+)
+def test_sample_count_off_the_block_size(stable_system, n_steps, stride):
+    mat, forcing, y0 = stable_system
+    got, diverged = _assert_matches_stage_loop(mat, forcing, y0, 1e-3, n_steps, stride)
+    assert not diverged
+    assert got.shape == (n_steps // stride + 1, 6)
+
+
+@pytest.mark.parametrize(
+    "first_bad",
+    # the last sample of the first and second blocks, the first of the second and third
+    [BLOCK, 2 * BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+)
+def test_divergence_at_a_block_edge(first_bad):
+    # y' = y at dt = 0.1 grows by g per step; starting at 1e12 / g**(first_bad - 0.5)
+    # the state first passes 1e12 at sample first_bad, half a step clear of it
+    dt = 0.1
+    growth = 1.0 + dt + dt**2 / 2.0 + dt**3 / 6.0 + dt**4 / 24.0
+    y0 = np.array([kernels.DIVERGENCE_LIMIT / growth ** (first_bad - 0.5)])
+    got, diverged = _assert_matches_stage_loop(np.array([[1.0]]), np.zeros(1), y0, dt, 3 * BLOCK, 1)
+    assert diverged
+    assert got.shape == (first_bad + 1, 1)
+
+
+@pytest.mark.parametrize(("n_steps", "stride"), [(1, 1), (2000, 2000)])
+def test_one_recorded_sample_builds_no_power_table(stable_system, monkeypatch, n_steps, stride):
+    # The endpoint-only pattern: one block of one sample, from the step map alone.
+    counts = []
+    build = kernels._power_table
+    monkeypatch.setattr(
+        kernels, "_power_table", lambda step, count: counts.append(count) or build(step, count)
+    )
+    mat, forcing, y0 = stable_system
+    got, diverged = _assert_matches_stage_loop(mat, forcing, y0, 1e-3, n_steps, stride)
+    assert not diverged
+    assert got.shape == (2, 6)
+    assert counts == [1]
+
+
 @pytest.mark.parametrize("stride", [100, 1000])
 def test_overflowing_step_map_is_flagged(grid16, stride):
     # dt = 1e-2 is far past RK4's limit on the controlled grid: the powered

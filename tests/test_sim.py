@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpxpi import kernels, sim
+from mpxpi import kernels, sim, stability
 from mpxpi.errors import DimensionError, NoEquilibriumError
 from mpxpi.graph import LayerGraph, empty_graph, laplacian, path_graph, ring_graph, star_graph
 from mpxpi.sim import (
@@ -377,6 +377,26 @@ def test_certified_cells_match_per_cell_check(demo8, monkeypatch, layer_c, sigma
     monkeypatch.setattr(sim, "check_theorem", lambda *a: calls.append(a) or check_theorem(*a))
     np.testing.assert_array_equal(certified_cells(sys, result, anchor=4), reference)
     assert len(calls) == 1
+
+
+def test_certified_cells_tests_connectivity_once(demo8, monkeypatch):
+    # Conditions (ii) and (iii) see the gains only through sigma_P > 0 and
+    # sigma_I > 0, so the layers' connectivity is found once, not per row or column.
+    result = sweep(demo8, np.linspace(0.0, 40.0, 8), np.linspace(0.0, 40.0, 6))
+    reference = _per_cell_certified(demo8, result)
+    assert reference.any() and not reference.all()
+    calls = {"is_connected": 0, "projection": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
+    np.testing.assert_array_equal(certified_cells(demo8, result), reference)
+    assert calls == {"is_connected": 4, "projection": 1}
 
 
 def test_certified_cells_match_per_cell_check_on_random_systems():

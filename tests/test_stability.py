@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpxpi.errors import DimensionError, NoEquilibriumError, NotApplicableError
-from mpxpi.graph import LayerGraph, empty_graph, laplacian, path_graph, ring_graph
+from mpxpi.graph import (
+    LayerGraph,
+    empty_graph,
+    is_connected,
+    laplacian,
+    path_graph,
+    projection,
+    ring_graph,
+)
 from mpxpi.sim import equilibrium, error_system
 from mpxpi.stability import (
     MultiplexSystem,
@@ -18,7 +27,7 @@ from mpxpi.stability import (
     consensusability_fold,
 )
 
-from conftest import random_system
+from conftest import random_connected_graph, random_system
 
 MU_DEMO = 33.0 + np.sqrt(720.0)          # spread certificate of the demo set
 RHO_DEMO = (3.0 + np.sqrt(5.0)) / 2.0    # worst node expansion rate
@@ -168,6 +177,48 @@ def test_check_projection_requires_connected_merge():
     sys = dataclasses.replace(sys, layer_p=LayerGraph(3, ((1, 2, 1.0),)))
     with pytest.raises(NotApplicableError):
         check_projection(sys)
+
+
+def _merged_connected(sys):
+    empty = LayerGraph(sys.n_nodes)
+    return is_connected(
+        projection(
+            sys.layer_c if sys.sigma > 0.0 else empty,
+            sys.layer_p if sys.sigma_p > 0.0 else empty,
+        )
+    )
+
+
+def test_connectivity_parts_of_conditions_ii_and_iii():
+    # Each gain on or off, over open-loop layers that are empty, connected or
+    # not, and integral layers that are connected or not.
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(6):
+        base = random_system(rng, max_nodes=6)
+        n = base.n_nodes
+        open_loop = (LayerGraph(n), random_connected_graph(rng, n), LayerGraph(n, ((1, 2, 1.0),)))
+        for layer_c in open_loop:
+            for layer_i in (base.layer_i, LayerGraph(n, ((1, n, 1.0),))):
+                for sigma, sigma_p, sigma_i in itertools.product((0.0, 0.7), (0.0, 2.0), (0.0, 1.5)):
+                    # numpy scalars as gains, as a library caller may pass them
+                    gains = dict(sigma=np.float64(sigma), sigma_p=np.float64(sigma_p), sigma_i=np.float64(sigma_i))
+                    sys = dataclasses.replace(base, layer_c=layer_c, layer_i=layer_i, **gains)
+                    report = check_theorem(sys)
+                    direct = sigma > 0.0 and is_connected(layer_c)
+                    assert report.mode == ("direct" if direct else "projection")
+                    above = report.coupling > report.threshold
+                    assert report.condition_ii == (above and (direct or _merged_connected(sys)))
+                    assert report.condition_iii == (is_connected(layer_i) and sigma_i > 0.0)
+                    merged = _merged_connected(sys)
+                    if merged:
+                        forced = check_projection(sys)
+                        assert forced.condition_ii == (forced.coupling > forced.threshold)
+                    else:
+                        with pytest.raises(NotApplicableError):
+                            check_projection(sys)
+                    seen.add((direct, merged, report.condition_ii, report.condition_iii))
+    assert len(seen) >= 8
 
 
 def test_fold_zero_feedback_is_identity(demo8):

@@ -201,12 +201,14 @@ def _cmd_tune(args) -> int:
 def _resolve_x0(spec: str, size: int) -> tuple[np.ndarray, str]:
     if spec.startswith("random:"):
         seed = int(spec.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(size), f"x0=random:{seed}"
+        return np.random.default_rng(seed).standard_normal(size), f"x0=random:{seed}"
     text = Path(spec).read_text()
     try:
-        data = np.asarray(json.loads(text), dtype=float)
-    except (TypeError, ValueError) as exc:  # not JSON, or not an array of numbers
+        values = json.loads(text)
+        if any(isinstance(value, bool) for value in values):
+            raise TypeError("true and false are not numbers")
+        data = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # not JSON, or not an array of numbers
         message = f"x0 must be a JSON list of {size} numbers ({exc})"
         raise SpecFormatError("bad-type", spec, message) from None
     if data.shape != (size,):

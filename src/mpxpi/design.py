@@ -35,6 +35,8 @@ from .stability import (
     consensusability_fold,
 )
 
+_SLACK = 1e-6  # relative margin above the cutoff at which ``tune`` evaluates its report
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -42,8 +44,8 @@ class TuningResult:
 
     ``sigma_p_min`` is the infimum of certified gains: every sigma_P strictly
     above it passes the check. ``report`` evaluates the system slightly above
-    the cutoff (relative slack, or the bare slack when the cutoff is 0) so
-    the strict inequality holds there.
+    the cutoff (relative :data:`_SLACK`, or the bare slack when the cutoff is
+    0) so the strict inequality holds there.
     """
 
     sigma_p_min: float
@@ -57,7 +59,6 @@ def tune(
     sys: MultiplexSystem,
     anchor: int | None = None,
     h_list: Sequence[np.ndarray] | None = None,
-    slack: float = 1e-6,
 ) -> TuningResult:
     """Minimal certified sigma_P for the system's layers.
 
@@ -94,7 +95,7 @@ def tune(
         raise NotApplicableError("proportional layer is disconnected; cannot solve for sigma_P")
     sigma_p_min = max(0.0, core.threshold - work.sigma * core.lambda2_c) / core.lambda2_p
 
-    certified = work.with_gains(sigma_p=sigma_p_min * (1.0 + slack) if sigma_p_min > 0 else slack)
+    certified = work.with_gains(sigma_p=sigma_p_min * (1.0 + _SLACK) if sigma_p_min > 0 else _SLACK)
     report = _with_gains(core, certified)
     return TuningResult(
         sigma_p_min=sigma_p_min,

@@ -11,14 +11,13 @@ integrals involving the matrix exponential"), ``stride`` steps are
 ``M**stride``, formed by repeated squaring. The powers are held as their
 increments ``M**j - I``, which for small ``dt`` are small beside ``I``, so
 no digits of them are lost to rounding ``I`` plus them; over many samples
-those digits would add up. A call that records one sample after ``y0``
-applies the map once and powers it whole.
+those digits would add up.
 
-Samples are stepped in blocks of up to B = 128. Once per call the table
-``M**1 - I ... M**B - I`` is built (with one recorded sample it is
-``M**stride - I`` alone); each block is then one ``(B d) x (d + 1)``
-matrix-vector product from the last sample before it, written straight
-into the output, plus that sample. A call therefore costs
+The ``S`` samples recorded after ``y0`` are stepped in blocks of
+B = ceil(sqrt(S)), at most 128 (an endpoint-only call is B = 1). Once per call
+the table ``M**1 - I ... M**B - I`` of the stride map is built; each block is
+then one ``(B d) x (d + 1)`` matrix-vector product from the last sample before
+it, written straight into the output, plus that sample. A call costs
 O(d^3 (log stride + B)) once, then O(d^2) per recorded sample, however many
 steps lie between samples. The samples are those of the RK4 stage loop up to
 roundoff, so the method keeps its fourth order.
@@ -26,14 +25,16 @@ roundoff, so the method keeps its fourth order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # State magnitude beyond which a trajectory is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
-# Recorded samples per block: one product computes a block, and every sample
-# of it is checked before the next, so a divergent run computes at most this
-# many samples past the first bad one.
+# Most recorded samples per block: one product computes a block, and every
+# sample of it is checked before the next, so a divergent run computes at most
+# this many samples past the first bad one.
 _BLOCK = 128
 
 
@@ -48,18 +49,22 @@ def _step_increment(mat: np.ndarray, forcing: np.ndarray, dt: float, stride: int
     eye = np.eye(dim)
     z = dt * mat
     s = eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0))
-    base = np.zeros((dim + 1, dim + 1))
-    base[:dim, :dim] = z @ s
-    base[:dim, dim] = dt * (s @ forcing)
-    # Squaring on increments: (I + N)(I + R) = I + N + R + N R.
-    inc = None
-    while True:
-        if stride & 1:
-            inc = base if inc is None else inc + base + inc @ base
-        stride >>= 1
-        if not stride:
-            return inc
-        base = 2.0 * base + base @ base
+    step = np.zeros((dim + 1, dim + 1))
+    step[:dim, :dim] = z @ s
+    step[:dim, dim] = dt * (s @ forcing)
+    # Per bit of stride after the leading one, (I + N)^2 = I + 2N + N N, then
+    # (I + N)(I + K) = I + N + K + N K if it is set: the rounding stays relative
+    # to N. In place and by ndarray.dot, as dispatch costs more than arithmetic.
+    inc = step.copy()
+    for bit in bin(stride)[3:]:
+        square = inc.dot(inc)
+        inc += inc
+        inc += square
+        if bit == "1":
+            product = inc.dot(step)
+            inc += step
+            inc += product
+    return inc
 
 
 def _power_table(step: np.ndarray, count: int) -> np.ndarray:
@@ -115,20 +120,14 @@ def integrate_lti(
 
     dim = y0.size
     n_rec = n_steps // stride + 1
-    block = min(_BLOCK, n_rec - 1)
+    # ceil(sqrt(S)) for S = n_rec - 1: B products build the table, S / B the blocks
+    block = min(_BLOCK, 1 + math.isqrt(n_rec - 2))
     out = np.empty((n_rec, dim))
     out[0] = y0
     # A powered map that overflows gives non-finite samples, flagged below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_rec == 2:
-            # Applied once, the map pays its rounding once: power it whole,
-            # one product per squaring instead of three.
-            eye = np.eye(dim + 1)
-            step = np.linalg.matrix_power(eye + _step_increment(mat, forcing, dt, 1), stride) - eye
-        else:
-            step = _step_increment(mat, forcing, dt, stride)
-        table = _power_table(step, block)
-        y = np.append(y0, 1.0)  # homogeneous coordinates: [y; 1]
+        table = _power_table(_step_increment(mat, forcing, dt, stride), block)
+        y = np.concatenate((y0, [1.0]))  # homogeneous coordinates: [y; 1]
         for start in range(1, n_rec, block):
             stop = min(start + block, n_rec)
             samples = out[start:stop]

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidLaplacianError
 
-#: Default residual tolerance for the block identities (double precision
-#: eigensolvers on desk-scale N stay far below this).
+#: Tolerance of the block identities and, relative to the matrix scale, of the
+#: Laplacian checks (double precision eigensolvers on desk-scale N stay far below this).
 IDENTITY_TOL = 1e-9
 
 
@@ -83,26 +83,26 @@ class SpectralBlocks:
         return (self.r_matrix * self.eigenvalues) @ self.r_inverse
 
 
-def validate_laplacian(mat: np.ndarray, tol: float = IDENTITY_TOL) -> np.ndarray:
+def validate_laplacian(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidLaplacianError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > tol * scale:
+    if np.abs(mat - mat.T).max() > IDENTITY_TOL * scale:
         raise InvalidLaplacianError("matrix is not symmetric")
-    if np.abs(mat.sum(axis=1)).max() > tol * scale:
+    if np.abs(mat.sum(axis=1)).max() > IDENTITY_TOL * scale:
         raise InvalidLaplacianError("matrix rows do not sum to zero")
     return mat
 
 
-def block_decompose(mat: np.ndarray, tol: float = IDENTITY_TOL) -> SpectralBlocks:
+def block_decompose(mat: np.ndarray) -> SpectralBlocks:
     """Factor a Laplacian into pinned-basis blocks.
 
     The first eigenvector is exactly +1/sqrt(N)·1 and the reported smallest
     eigenvalue is exactly 0 (deflated, not estimated). Connectivity is not
     required; a disconnected input simply yields further near-zero eigenvalues.
     """
-    mat = validate_laplacian(mat, tol)
+    mat = validate_laplacian(mat)
     n = mat.shape[0]
     if n < 2:
         raise DimensionError("block decomposition needs at least 2 nodes")
@@ -158,8 +158,8 @@ class PropertyReport:
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def ok(self, tol: float = IDENTITY_TOL) -> bool:
-        return self.max_residual < tol
+    def ok(self) -> bool:
+        return self.max_residual < IDENTITY_TOL
 
 
 def verify_block_properties(blocks: SpectralBlocks, n_state: int = 1) -> PropertyReport:
@@ -204,9 +204,7 @@ def verify_block_properties(blocks: SpectralBlocks, n_state: int = 1) -> Propert
     return PropertyReport(MappingProxyType(res))
 
 
-def similarity_transform(
-    blocks: SpectralBlocks, second: np.ndarray, tol: float = IDENTITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def similarity_transform(blocks: SpectralBlocks, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Express another Laplacian in the basis of ``blocks``.
 
     Returns ``(t, s)`` with ``t = N r22 (1 1^T + I) u22^T`` built from the
@@ -214,13 +212,13 @@ def similarity_transform(
     ``t`` is orthogonal and ``s`` symmetric, and in the first basis the second
     Laplacian reads blockdiag(0, s).
     """
-    second = validate_laplacian(second, tol)
+    second = validate_laplacian(second)
     n = blocks.n_nodes
     if second.shape[0] != n:
         raise DimensionError(
             f"Laplacian is {second.shape[0]}x{second.shape[0]}, expected {n}x{n}"
         )
-    other = block_decompose(second, tol)
+    other = block_decompose(second)
     ones = np.ones((n - 1, n - 1))
     t = n * blocks.r22 @ (ones + np.eye(n - 1)) @ other.r22.T
     s = (t * other.eigenvalues[1:]) @ t.T

@@ -386,7 +386,15 @@ def test_power_demo_rejects_non_finite_times(capsys, flag, value):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("text", ['{"a": 1}', '[{"a": 1}]', '["a"]', '[[1], [1, 2]]', "[1,"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": 1}', '[{"a": 1}]', '["a"]', '[[1], [1, 2]]', "[1,",
+        # JSON booleans are no numbers, although numpy would read them as 1 and 0
+        json.dumps([True] * 16), json.dumps([1, True] + [0] * 14),
+        pytest.param("[1" + "0" * 400 + "]", id="int-beyond-double"),
+    ],
+)
 def test_simulate_rejects_x0_file_that_is_no_list_of_numbers(hetero8, tmp_path, capsys, text):
     x0 = tmp_path / "x0.json"
     x0.write_text(text)

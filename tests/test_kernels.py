@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,45 @@ def test_step_map_truncates_where_stage_loop_does(rate, dt, n_steps, stride, row
 BLOCK = kernels._BLOCK
 
 
+def _block_size(n_samples):
+    # the sizing rule: ceil(sqrt(S)) recorded samples per block, at most BLOCK
+    return min(BLOCK, math.ceil(math.sqrt(n_samples)))
+
+
+def _spy_power_table(monkeypatch):
+    counts = []
+    build = kernels._power_table
+    monkeypatch.setattr(
+        kernels, "_power_table", lambda step, count: counts.append(count) or build(step, count)
+    )
+    return counts
+
+
+@pytest.mark.parametrize(
+    "n_samples", [1, 2, 3, 4, 5, 63, 64, 65, 500, 4001, 127**2, 127**2 + 1, BLOCK**2, 50000]
+)
+def test_block_size_follows_sample_count(monkeypatch, n_samples):
+    counts = _spy_power_table(monkeypatch)
+    kernels.integrate_lti(np.array([[-1.0]]), np.ones(1), np.ones(1), 1e-3, 3 * n_samples, 3)
+    assert counts == [_block_size(n_samples)]
+
+
 @pytest.mark.parametrize(
     ("n_steps", "stride"),
-    [(3 * BLOCK + 1, 1), (2 * BLOCK - 1, 1), (BLOCK + 1, 1), (10 * (BLOCK + 5), 10)],
+    [
+        (3 * BLOCK + 1, 1),
+        (2 * BLOCK - 1, 1),
+        (BLOCK + 1, 1),
+        (10 * (BLOCK + 5), 10),
+        # one sample short of or past a block edge, at derived B = 10, 12 and BLOCK
+        # (133 = 11 * 12 + 1 is the case above)
+        (99, 1),
+        (91, 1),
+        (10 * 143, 10),
+        (BLOCK**2 - 1, 1),
+        (BLOCK**2 + 1, 1),
+        (500, 1),
+    ],
 )
 def test_sample_count_off_the_block_size(stable_system, n_steps, stride):
     mat, forcing, y0 = stable_system
@@ -82,30 +120,67 @@ def test_sample_count_off_the_block_size(stable_system, n_steps, stride):
     assert got.shape == (n_steps // stride + 1, 6)
 
 
+def test_power_demo_shape_matches_stage_loop():
+    # 4001 samples at stride 100, the shape of the power demo's segments:
+    # blocks of 64 from the 100-step map. A 1-state system, so that the
+    # 400100-step stage loop can run on Python floats.
+    rate, force, y, dt, stride = -0.3, 0.7, 2.0, 1e-3, 100
+    want = [y]
+    for step in range(1, 4001 * stride + 1):
+        k1 = rate * y + force
+        k2 = rate * (y + (0.5 * dt) * k1) + force
+        k3 = rate * (y + (0.5 * dt) * k2) + force
+        k4 = rate * (y + dt * k3) + force
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0:
+            want.append(y)
+    assert _block_size(len(want) - 1) == 64
+    got, diverged = kernels.integrate_lti(
+        np.array([[rate]]), np.array([force]), np.array([2.0]), dt, 4001 * stride, stride
+    )
+    assert not diverged
+    np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12 * max(map(abs, want)))
+
+
 @pytest.mark.parametrize(
     "first_bad",
     # the last sample of the first and second blocks, the first of the second and third
     [BLOCK, 2 * BLOCK, BLOCK + 1, 2 * BLOCK + 1],
 )
 def test_divergence_at_a_block_edge(first_bad):
+    # BLOCK**2 samples are stepped in blocks of BLOCK
+    assert _block_size(BLOCK**2) == BLOCK
+    _assert_diverges_at(first_bad, BLOCK**2)
+
+
+@pytest.mark.parametrize(("n_steps", "first_bad"), [(100, 10), (100, 11), (100, 20), (500, 23), (500, 24)])
+def test_divergence_at_a_derived_block_edge(n_steps, first_bad):
+    # the last or the first sample of a block of ceil(sqrt(S)) < BLOCK samples
+    assert first_bad % _block_size(n_steps) in (0, 1)
+    _assert_diverges_at(first_bad, n_steps)
+
+
+def _assert_diverges_at(first_bad, n_steps):
     # y' = y at dt = 0.1 grows by g per step; starting at 1e12 / g**(first_bad - 0.5)
     # the state first passes 1e12 at sample first_bad, half a step clear of it
     dt = 0.1
     growth = 1.0 + dt + dt**2 / 2.0 + dt**3 / 6.0 + dt**4 / 24.0
     y0 = np.array([kernels.DIVERGENCE_LIMIT / growth ** (first_bad - 0.5)])
-    got, diverged = _assert_matches_stage_loop(np.array([[1.0]]), np.zeros(1), y0, dt, 3 * BLOCK, 1)
+    got, diverged = _assert_matches_stage_loop(np.array([[1.0]]), np.zeros(1), y0, dt, n_steps, 1)
     assert diverged
     assert got.shape == (first_bad + 1, 1)
 
 
 @pytest.mark.parametrize(("n_steps", "stride"), [(1, 1), (2000, 2000)])
 def test_one_recorded_sample_builds_no_power_table(stable_system, monkeypatch, n_steps, stride):
-    # The endpoint-only pattern: one block of one sample, from the step map alone.
-    counts = []
-    build = kernels._power_table
-    monkeypatch.setattr(
-        kernels, "_power_table", lambda step, count: counts.append(count) or build(step, count)
-    )
+    # The endpoint-only pattern: one block of one sample, from the stride map
+    # alone, with no np.linalg.matrix_power.
+    counts = _spy_power_table(monkeypatch)
+
+    def no_matrix_power(*args, **kwargs):
+        raise AssertionError("matrix_power called")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", no_matrix_power)
     mat, forcing, y0 = stable_system
     got, diverged = _assert_matches_stage_loop(mat, forcing, y0, 1e-3, n_steps, stride)
     assert not diverged

@@ -56,6 +56,7 @@ from .sim import (
     certified_cells,
     consensus_index,
     equilibrium,
+    error_pencil,
     error_system,
     simulate,
     spectral_abscissa,

@@ -28,6 +28,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, NoEquilibriumError, NotApplicableError
 from .graph import LayerGraph, algebraic_connectivity, is_connected, laplacian
+from .sim import consensus_index
 from .stability import MultiplexSystem, NodeDynamics
 
 
@@ -71,34 +72,6 @@ class PowerNetwork:
     @property
     def n_nodes(self) -> int:
         return self.electrical.node_count
-
-    @classmethod
-    def from_admittances(
-        cls,
-        inertia,
-        damping,
-        local_gain,
-        injection,
-        voltages,
-        admittance_edges: Sequence[tuple[int, int, float]],
-        p_layer: LayerGraph,
-        sigma_p: float,
-    ) -> "PowerNetwork":
-        """Build the electrical layer from nodal voltages and |Y_ij| values."""
-        volts = np.asarray(voltages, dtype=float)
-        edges = tuple(
-            (int(i), int(j), float(volts[int(i) - 1] * volts[int(j) - 1] * y))
-            for i, j, y in admittance_edges
-        )
-        return cls(
-            inertia=np.asarray(inertia, dtype=float),
-            damping=np.asarray(damping, dtype=float),
-            local_gain=np.asarray(local_gain, dtype=float),
-            injection=np.asarray(injection, dtype=float),
-            electrical=LayerGraph(len(volts), edges),
-            p_layer=p_layer,
-            sigma_p=sigma_p,
-        )
 
 
 def _require_common_inertia(pn: PowerNetwork) -> float:
@@ -308,5 +281,4 @@ def simulate_power(
     stacked = np.vstack(chunks)
     times = np.linspace(0.0, dt * record_every * (stacked.shape[0] - 1), stacked.shape[0])
     omega = stacked[:, :n]
-    spread = np.linalg.norm(omega - omega.mean(axis=1, keepdims=True), axis=1)
-    return PowerTrace(times, omega, stacked[:, n:], spread, diverged)
+    return PowerTrace(times, omega, stacked[:, n:], consensus_index(omega, n, 1), diverged)

@@ -7,7 +7,9 @@ The stacked closed loop on state x and integral state z reads
 
 with Ahat = blockdiag(A_1..A_N). Consensus trajectories live in the kernel of
 the deviation map; the error system below removes the structurally conserved
-integral mode and its spectral abscissa decides asymptotic consensus. Both
+integral mode and its spectral abscissa decides asymptotic consensus. The
+error matrix is affine in the two gains, E0 + sigma_P Dp + sigma_I Di, and
+``error_pencil`` builds the three matrices once per system. Both
 representations are kept because they cross-validate each other: the error
 matrix's eigenvalues plus n structural zeros reproduce the full spectrum.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, NoEquilibriumError
-from .graph import LayerGraph, is_connected, laplacian
+from .graph import is_connected, laplacian
 from .spectral import block_decompose, psi_blocks
 from .stability import MultiplexSystem, _with_gains, averaged_dynamics, check_theorem
 
@@ -79,8 +81,18 @@ class SimTrace:
 
 
 def spectral_abscissa(mat: np.ndarray) -> np.floating | np.ndarray:
-    """Largest real part of the spectrum; one value per matrix of a stack."""
-    return np.linalg.eigvals(mat).real.max(axis=-1)
+    """Largest real part of the spectrum; one value per matrix of a stack.
+
+    A matrix with a non-finite entry, as an overflowing gain leaves, has no
+    computable spectrum and gives NaN.
+    """
+    mat = np.asarray(mat)
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvals(mat).real.max(axis=-1)
+    abscissa = np.full(finite.shape, np.nan)
+    abscissa[finite] = spectral_abscissa(mat[finite])
+    return abscissa[()]
 
 
 def consensus_index(states: np.ndarray, n_nodes: int, state_dim: int) -> np.ndarray:
@@ -124,41 +136,28 @@ def assemble(sys: MultiplexSystem) -> ClosedLoopSystem:
     return ClosedLoopSystem(mat, forcing, n_nodes, dim)
 
 
-def _error_blocks(sys: MultiplexSystem):
-    """psi and the lower-right layer blocks in the deviation basis.
+def error_pencil(sys: MultiplexSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E0, Dp, Di) such that the error matrix is E0 + sigma_P Dp + sigma_I Di.
 
-    Any pinned orthonormal basis yields a similar error matrix; prefer the
-    open-loop layer's eigenbasis so its coupling block comes out diagonal.
+    E0 holds psi, the open-loop coupling and the integral input; Dp and Di
+    hold the proportional and integral layers' blocks. Any pinned orthonormal
+    basis yields a similar error matrix; prefer the open-loop layer's
+    eigenbasis so its coupling block comes out diagonal.
     """
     basis_layer = sys.layer_c if is_connected(sys.layer_c) else sys.layer_i
     basis = block_decompose(laplacian(basis_layer))
-    r, r_inv = basis.r_matrix, basis.r_inverse
-
-    def lower(layer: LayerGraph) -> np.ndarray:
-        return (r_inv @ laplacian(layer) @ r)[1:, 1:]
-
-    psi = psi_blocks(sys.effective_a(), basis).assembled()
-    return psi, lower(sys.layer_c), lower(sys.layer_p), lower(sys.layer_i)
-
-
-def _error_matrices(sys: MultiplexSystem, blocks, sigma_p: float, sigma_i: np.ndarray) -> np.ndarray:
-    """Error matrices for one proportional gain and an array of integral gains.
-
-    The gains enter affinely: sigma_P through the deviation block, sigma_I
-    through the integral block, so a whole row of a gain grid shares one
-    coupling term.
-    """
-    psi, s_c, s_p, s_i = blocks
-    n_nodes, dim = sys.n_nodes, sys.state_dim
-    eye = np.eye(dim)
-    top = n_nodes * dim
-    rest = (n_nodes - 1) * dim
-    mats = np.zeros((sigma_i.size, top + rest, top + rest))
-    mats[:, :top, :top] = psi
-    mats[:, dim:top, dim:top] -= np.kron(sys.sigma * s_c + sigma_p * s_p, eye)
-    mats[:, dim:top, top:] = np.eye(rest)
-    mats[:, top:, dim:top] = -sigma_i[:, None, None] * np.kron(s_i, eye)
-    return mats
+    dim, top = sys.state_dim, sys.n_nodes * sys.state_dim
+    size = 2 * top - dim
+    e0, dp, di = np.zeros((3, size, size))
+    e0[:top, :top] = psi_blocks(sys.effective_a(), basis).assembled()
+    laps = np.stack([laplacian(layer) for layer in (sys.layer_c, sys.layer_p, sys.layer_i)])
+    s_c, s_p, s_i = np.kron((basis.r_inverse @ laps @ basis.r_matrix)[:, 1:, 1:], np.eye(dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0[dim:top, dim:top] -= sys.sigma * s_c
+    e0[dim:top, top:] = np.eye(size - top)
+    dp[dim:top, dim:top] = -s_p
+    di[top:, dim:top] = -s_i
+    return e0, dp, di
 
 
 def error_system(sys: MultiplexSystem) -> ErrorSystem:
@@ -166,12 +165,14 @@ def error_system(sys: MultiplexSystem) -> ErrorSystem:
 
     In the deviation basis the conserved integral mode drops out, leaving a
     (2N - 1)n matrix whose spectral abscissa is negative exactly when the
-    consensus equilibrium attracts. Layer couplings enter through their
-    lower-right blocks in that basis (diagonal for the layer that supplied
-    the basis, dense symmetric for the others).
+    consensus equilibrium attracts. It is ``error_pencil`` evaluated at the
+    system's gains.
     """
-    mats = _error_matrices(sys, _error_blocks(sys), sys.sigma_p, np.array([sys.sigma_i]))
-    return ErrorSystem(mats[0], sys.n_nodes, sys.state_dim)
+    e0, dp, di = error_pencil(sys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = sys.sigma_i * di
+        mat += sys.sigma_p * dp + e0
+    return ErrorSystem(mat, sys.n_nodes, sys.state_dim)
 
 
 def simulate(
@@ -236,10 +237,11 @@ class SweepResult:
 def sweep(sys: MultiplexSystem, sigma_p_grid, sigma_i_grid) -> SweepResult:
     """Spectral abscissa of the error system over a gain grid.
 
-    Each sigma_P row is one stack of error matrices, one per sigma_I, solved
-    by one batched eigenvalue call. A cell whose matrix overflows to
-    non-finite entries holds NaN and classifies as not stable. Grids must be
-    non-empty, finite and non-negative, else ValueError.
+    Each sigma_P row is one stack of error matrices, one per sigma_I, formed
+    from the pencil as ``error_system`` forms one (so bit for bit the same)
+    and solved by one batched eigenvalue call. A cell whose matrix overflows
+    holds NaN and classifies as not stable. Grids must be non-empty, finite
+    and non-negative, else ValueError.
     """
     sp = np.asarray(list(sigma_p_grid), dtype=float)
     si = np.asarray(list(sigma_i_grid), dtype=float)
@@ -249,16 +251,15 @@ def sweep(sys: MultiplexSystem, sigma_p_grid, sigma_i_grid) -> SweepResult:
         if not (np.isfinite(grid).all() and (grid >= 0.0).all()):
             raise ValueError(f"{name} grid values must be finite and non-negative")
 
-    blocks = _error_blocks(sys)
-    abscissa = np.full((sp.size, si.size), np.nan)
+    e0, dp, di = error_pencil(sys)
+    abscissa = np.empty((sp.size, si.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for row, gain in enumerate(sp):
-            mats = _error_matrices(sys, blocks, gain, si)
-            finite = np.isfinite(mats).all(axis=(1, 2))
-            if finite.any():
-                abscissa[row, finite] = spectral_abscissa(mats[finite])
-        stable = abscissa < -STABLE_TOL
-        marginal = np.abs(abscissa) <= STABLE_TOL
+            mats = si[:, None, None] * di
+            mats += gain * dp + e0
+            abscissa[row] = spectral_abscissa(mats)
+    stable = abscissa < -STABLE_TOL
+    marginal = np.abs(abscissa) <= STABLE_TOL
     return SweepResult(sp, si, abscissa, stable, marginal)
 
 

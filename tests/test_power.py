@@ -212,6 +212,8 @@ def test_simulate_power_demo_returns_to_sixty(grid16):
     # mass-weighted rescaled powers are conserved at zero
     conserved = (trace.powers * grid16.inertia).sum(axis=1)
     assert np.abs(conserved).max() < 1e-6
+    # spread is the norm of the deviation from the mean: sqrt(N) times the std
+    np.testing.assert_allclose(trace.spread, 4.0 * trace.omega.std(axis=1), rtol=1e-9, atol=1e-12)
     # reported, not asserted tightly: the transient overshoot stays moderate
     on = trace.times >= fixtures.GRID_CONTROL_ON_TIME
     overshoot = np.abs(trace.omega[on] - 60.0).max()

@@ -11,6 +11,7 @@ from mpxpi.sim import (
     certified_cells,
     consensus_index,
     equilibrium,
+    error_pencil,
     error_system,
     simulate,
     spectral_abscissa,
@@ -150,13 +151,42 @@ def test_closed_loop_stable_off_the_consensus_modes(demo8):
 # ---------------------------------------------------------------------------
 
 
-def test_error_spectrum_matches_closed_loop(demo8):
-    err = error_system(demo8)
-    full = np.sort_complex(np.linalg.eigvals(assemble(demo8).state_matrix))
+@pytest.fixture(params=["demo8", "ring-c"])
+def error_case(request, demo8):
+    """demo8 has no open-loop layer, so its error basis comes from the integral
+    layer; on a connected open-loop ring with sigma > 0 it comes from that ring."""
+    if request.param == "demo8":
+        return demo8
+    return dataclasses.replace(demo8, layer_c=ring_graph(8), sigma=5.0)
+
+
+def test_error_spectrum_matches_closed_loop(error_case):
+    err = error_system(error_case)
+    full = np.sort_complex(np.linalg.eigvals(assemble(error_case).state_matrix))
     reduced = np.sort_complex(
-        np.concatenate([np.linalg.eigvals(err.matrix), np.zeros(demo8.state_dim)])
+        np.concatenate([np.linalg.eigvals(err.matrix), np.zeros(error_case.state_dim)])
     )
     assert np.abs(full - reduced).max() < 1e-10
+
+
+def test_error_pencil_is_affine_in_the_gains(error_case):
+    e0, dp, di = error_pencil(error_case)
+    dim, top = error_case.state_dim, error_case.n_nodes * error_case.state_dim
+    assert e0.shape == dp.shape == di.shape == (2 * top - dim, 2 * top - dim)
+    # Dp lives in the deviation block, Di in the integral rows' deviation columns
+    outside_p = np.ones(dp.shape, dtype=bool)
+    outside_p[dim:top, dim:top] = False
+    outside_i = np.ones(di.shape, dtype=bool)
+    outside_i[top:, dim:top] = False
+    assert not dp[outside_p].any() and dp[~outside_p].any()
+    assert not di[outside_i].any() and di[~outside_i].any()
+    for sigma_p, sigma_i in ((0.0, 0.0), (2.5, 40.0), (19.3, 15.0), (1e3, 1e-3)):
+        gains = error_case.with_gains(sigma_p=sigma_p, sigma_i=sigma_i)
+        for part, again in zip((e0, dp, di), error_pencil(gains)):
+            np.testing.assert_array_equal(again, part)
+        np.testing.assert_array_equal(
+            e0 + sigma_p * dp + sigma_i * di, error_system(gains).matrix
+        )
 
 
 def test_error_abscissa_demo_gains(demo8):
@@ -317,11 +347,11 @@ def test_sweep_classifies_known_cells(demo8):
     assert np.isfinite(result.abscissa).all()
 
 
-def test_sweep_matches_error_system(demo8):
-    result = sweep(demo8, [2.0, 10.0, 30.0], [1.0, 20.0])
+def test_sweep_matches_error_system(error_case):
+    result = sweep(error_case, [2.0, 10.0, 30.0], [1.0, 20.0])
     for i, sp in enumerate(result.sigma_p):
         for j, si in enumerate(result.sigma_i):
-            direct = error_system(demo8.with_gains(sigma_p=float(sp), sigma_i=float(si))).abscissa()
+            direct = error_system(error_case.with_gains(sigma_p=float(sp), sigma_i=float(si))).abscissa()
             np.testing.assert_array_equal(result.abscissa[i, j], direct)
 
 
@@ -347,6 +377,8 @@ def test_sweep_overflowing_gain_gives_nan_cells(demo8):
     assert np.isfinite(result.abscissa[0, 0]) and bool(result.stable[0, 0])
     assert np.isnan(result.abscissa[0, 1]) and np.isnan(result.abscissa[1]).all()
     assert not result.stable[1].any() and not result.marginal[1].any()
+    # error_system gives the same NaN, without an overflow warning
+    assert np.isnan(error_system(demo8.with_gains(sigma_p=1e308)).abscissa())
 
 
 def _per_cell_certified(sys, result, anchor=1):
@@ -448,3 +480,6 @@ def test_spectral_abscissa_helper():
     assert spectral_abscissa(rot) == pytest.approx(0.0, abs=1e-12)
     stack = np.stack([np.diag([-3.0, -1.0]), np.diag([2.0, -5.0])])
     np.testing.assert_array_equal(spectral_abscissa(stack), [-1.0, 2.0])
+    stack[1, 0, 1] = np.inf
+    np.testing.assert_array_equal(spectral_abscissa(stack), [-1.0, np.nan])
+    assert np.isnan(spectral_abscissa(stack[1]))

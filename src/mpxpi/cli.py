@@ -31,6 +31,7 @@ from .errors import (
     TuningInfeasibleError,
 )
 from .graph import laplacian
+from .kernels import usable_cpus
 from .spectral import block_decompose, verify_block_properties
 from .stability import StabilityReport, check_projection, check_theorem
 
@@ -111,8 +112,7 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
     line = ",".join([_FMT] * len(columns)) + "\n"
     starts = range(0, len(rows), _CSV_CHUNK_ROWS)
     spans = [(start, min(start + _CSV_CHUNK_ROWS, len(rows))) for start in starts]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(spans))
+    workers = min(usable_cpus(), len(spans))
     with contextlib.ExitStack() as stack:
         # The workers fork before the output is opened, so none inherits it.
         conns = None

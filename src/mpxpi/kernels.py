@@ -21,11 +21,14 @@ it, written straight into the output, plus that sample. A call costs
 O(d^3 (log stride + B)) once, then O(d^2) per recorded sample, however many
 steps lie between samples. The samples are those of the RK4 stage loop up to
 roundoff, so the method keeps its fourth order.
+
+:func:`usable_cpus` is the one count of CPUs that parallel work here spreads over.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -36,6 +39,11 @@ DIVERGENCE_LIMIT = 1e12
 # sample of it is checked before the next, so a divergent run computes at most
 # this many samples past the first bad one.
 _BLOCK = 128
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _step_increment(mat: np.ndarray, forcing: np.ndarray, dt: float, stride: int) -> np.ndarray:

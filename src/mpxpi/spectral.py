@@ -225,6 +225,24 @@ def similarity_transform(blocks: SpectralBlocks, second: np.ndarray) -> tuple[np
     return t, s
 
 
+def kron_eye(mat: np.ndarray, dim: int) -> np.ndarray:
+    """``kron(mat, I_dim)``, placed rather than multiplied; a stack gives a stack.
+
+    Entry (i, j) of ``mat`` lands on the diagonal of block (i, j), and every
+    other entry is a plain zero. For ``dim == 1`` it is a copy of ``mat`` in
+    the same memory order, as from ``np.kron``: matmul rounds a transposed
+    operand differently.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if dim == 1:
+        return mat.copy(order="K")
+    *stack, rows, cols = mat.shape
+    out = np.zeros((*stack, rows, dim, cols, dim))
+    for k in range(dim):
+        out[..., :, k, :, k] = mat
+    return out.reshape(*stack, rows * dim, cols * dim)
+
+
 @dataclass(frozen=True)
 class PsiBlocks:
     """Node dynamics congruence-transformed into the pinned basis.
@@ -266,21 +284,23 @@ def psi_blocks(a_list: Sequence[np.ndarray], blocks: SpectralBlocks) -> PsiBlock
         if a.shape != (dim, dim):
             raise DimensionError(f"dynamics matrix {k + 1} has shape {a.shape}, expected ({dim}, {dim})")
 
-    eye = np.eye(dim)
     psi11 = sum(mats) / n_nodes
     p1 = np.hstack([a - mats[0] for a in mats[1:]])
     p2 = np.vstack([a - mats[0] for a in mats[1:]])
     rest = np.zeros((dim * (n_nodes - 1), dim * (n_nodes - 1)))
     for k, a in enumerate(mats[1:]):
         rest[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = a
-    coupling = np.kron(np.ones((n_nodes - 1, n_nodes - 1)), mats[0]) + rest
+    coupling = np.tile(mats[0], (n_nodes - 1, n_nodes - 1)) + rest
 
-    r22_k = np.kron(blocks.r22, eye)
+    # r22^T gets its own expansion, in np.kron's memory order: r22_k.T would
+    # be a Fortran-ordered view for dim > 1, which matmul rounds differently.
+    r22_k = kron_eye(blocks.r22, dim)
+    r22t_k = kron_eye(blocks.r22.T, dim)
     return PsiBlocks(
         psi11=psi11,
-        psi12=p1 @ np.kron(blocks.r22.T, eye),
+        psi12=p1 @ r22t_k,
         psi21=r22_k @ p2,
-        psi22=n_nodes * r22_k @ coupling @ np.kron(blocks.r22.T, eye),
+        psi22=n_nodes * r22_k @ coupling @ r22t_k,
         p1=p1,
         p2=p2,
         coupling=coupling,

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -347,12 +349,84 @@ def test_sweep_classifies_known_cells(demo8):
     assert np.isfinite(result.abscissa).all()
 
 
-def test_sweep_matches_error_system(error_case):
-    result = sweep(error_case, [2.0, 10.0, 30.0], [1.0, 20.0])
-    for i, sp in enumerate(result.sigma_p):
-        for j, si in enumerate(result.sigma_i):
-            direct = error_system(error_case.with_gains(sigma_p=float(sp), sigma_i=float(si))).abscissa()
-            np.testing.assert_array_equal(result.abscissa[i, j], direct)
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _solver_threads(monkeypatch):
+    """Idents of the threads that solve sweep rows, one entry per row."""
+    idents = []
+    solve = sim.spectral_abscissa
+
+    def spy(mats):
+        idents.append(threading.get_ident())
+        return solve(mats)
+
+    monkeypatch.setattr(sim, "spectral_abscissa", spy)
+    return idents
+
+
+# 18 sigma_I columns of the 30x30 demo8 matrices: a stack that numpy solves
+# without holding the interpreter lock, so sweep spreads its rows over threads
+WIDE_SIGMA_I = np.linspace(1.0, 20.0, 18)
+
+
+def test_sweep_matches_error_system(error_case, monkeypatch):
+    idents = _solver_threads(monkeypatch)
+    for cpus in (1, 2, 3):
+        _usable_cpus(monkeypatch, cpus)
+        idents.clear()
+        result = sweep(error_case, [2.0, 10.0, 30.0], WIDE_SIGMA_I)
+        assert len(idents) == 3 and len(set(idents)) == cpus
+        for i, sp in enumerate(result.sigma_p):
+            for j, si in enumerate(result.sigma_i):
+                gains = error_case.with_gains(sigma_p=float(sp), sigma_i=float(si))
+                np.testing.assert_array_equal(result.abscissa[i, j], error_system(gains).abscissa())
+
+
+@pytest.mark.parametrize("failing_thread", ["caller", "worker"])
+def test_sweep_raises_a_row_error_after_joining_its_threads(demo8, monkeypatch, failing_thread):
+    _usable_cpus(monkeypatch, 2)
+    caller = threading.get_ident()
+    solve = sim.spectral_abscissa
+
+    def failing(mats):
+        if (threading.get_ident() == caller) == (failing_thread == "caller"):
+            raise FloatingPointError("row failed")
+        return solve(mats)
+
+    monkeypatch.setattr(sim, "spectral_abscissa", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="row failed"):
+        sweep(demo8, [0.0, 10.0, 20.0, 30.0], WIDE_SIGMA_I)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case", ["above-size-limit", "narrow-row"])
+def test_sweep_starts_no_thread_where_threads_run_slower(demo8, monkeypatch, case):
+    if case == "above-size-limit":
+        # N = 40, n = 2: m = 158, where LAPACK runs on threads of its own
+        rng = np.random.default_rng(40)
+        nodes = tuple(
+            NodeDynamics(rng.standard_normal((2, 2)) - np.eye(2), rng.standard_normal(2))
+            for _ in range(40)
+        )
+        sys = MultiplexSystem(
+            nodes=nodes, layer_c=empty_graph(40), layer_p=ring_graph(40), layer_i=ring_graph(40),
+            sigma_p=1.0, sigma_i=1.0,
+        )
+        assert (2 * 40 - 1) * 2 > sim._THREADED_MAX_SIZE
+        grid_i = [0.5, 1.0, 2.0, 4.0]
+    else:
+        # two 30x30 matrices per row: numpy solves them holding the interpreter lock
+        sys, grid_i = demo8, [1.0, 20.0]
+        assert 2 * 30 <= sim._GIL_FREE_STACK
+    _usable_cpus(monkeypatch, 2)
+    idents = _solver_threads(monkeypatch)
+    result = sweep(sys, [1.0, 5.0], grid_i)
+    assert idents == [threading.get_ident()] * 2
+    gains = sys.with_gains(sigma_p=5.0, sigma_i=grid_i[1])
+    np.testing.assert_array_equal(result.abscissa[1, 1], error_system(gains).abscissa())
 
 
 def test_certified_cells_are_stable(demo8):
@@ -371,12 +445,18 @@ def test_sweep_rejects_bad_grids(demo8):
             sweep(demo8, [1.0], bad)
 
 
-def test_sweep_overflowing_gain_gives_nan_cells(demo8):
-    # finite gains whose products overflow the error matrix: NaN, not stable
-    result = sweep(demo8, [20.0, 1e308], [15.0, 1e308])
-    assert np.isfinite(result.abscissa[0, 0]) and bool(result.stable[0, 0])
-    assert np.isnan(result.abscissa[0, 1]) and np.isnan(result.abscissa[1]).all()
-    assert not result.stable[1].any() and not result.marginal[1].any()
+def test_sweep_overflowing_gain_gives_nan_cells(demo8, monkeypatch):
+    # finite gains whose products overflow the error matrix: NaN, not stable.
+    # With 2 CPUs the rows run on two threads, each without a warning.
+    idents = _solver_threads(monkeypatch)
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        idents.clear()
+        result = sweep(demo8, [20.0, 1e308], [15.0] + [1e308] * 17)
+        assert len(set(idents)) == cpus
+        assert np.isfinite(result.abscissa[0, 0]) and bool(result.stable[0, 0])
+        assert np.isnan(result.abscissa[0, 1:]).all() and np.isnan(result.abscissa[1]).all()
+        assert not result.stable[1].any() and not result.marginal[1].any()
     # error_system gives the same NaN, without an overflow warning
     assert np.isnan(error_system(demo8.with_gains(sigma_p=1e308)).abscissa())
 

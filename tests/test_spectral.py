@@ -10,6 +10,7 @@ from mpxpi.graph import laplacian, ring_graph, star_graph
 from mpxpi.spectral import (
     IDENTITY_NAMES,
     block_decompose,
+    kron_eye,
     psi_blocks,
     similarity_transform,
     verify_block_properties,
@@ -176,6 +177,15 @@ def test_psi_blocks_match_direct_congruence(n, dim, seed):
     eye = np.eye(dim)
     direct = np.kron(blocks.r_inverse, eye) @ stacked @ np.kron(blocks.r_matrix, eye)
     assert np.abs(pb.assembled() - direct).max() < 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kron_eye_matches_np_kron_in_value_and_memory_order(dim):
+    rng = np.random.default_rng(dim)
+    for mat in (rng.standard_normal((4, 5)), rng.standard_normal((5, 4)).T, rng.standard_normal((3, 5, 5))[:, 1:, 1:]):
+        want, got = np.kron(mat, np.eye(dim)), kron_eye(mat, dim)
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
 
 
 @settings(max_examples=30, deadline=None)

@@ -321,9 +321,6 @@ def _on_threads(work, workers: int) -> None:
     Every thread is joined before this returns, and an exception raised by
     any of them is raised here.
     """
-    if workers == 1:
-        work(0)
-        return
     import threading
 
     errors = []

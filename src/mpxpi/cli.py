@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -43,13 +44,141 @@ def _num(x: float) -> str:
     return _FMT % x
 
 
-def _format_span(rows: np.ndarray, line: str, start: int, stop: int) -> bytes:
-    """Rows ``start:stop`` as CSV text, every value formatted with ``_FMT``."""
+# CSV values are written as ``_FMT % x`` writes them, but a span at a time in
+# numpy. A value with 1e-5 <= |x| <= 1e15 takes the vectorised path below;
+# every other value (0, -0.0, NaN, infinities, subnormals, the rest) goes
+# through ``_FMT %`` itself. ``%.17g`` rounds x correctly to 17 significant
+# digits, half to even, and prints them with the exponent X of the rounded
+# value: fixed notation for -4 <= X < 17, trailing fraction zeros and a bare
+# point dropped, and ``d.ddd...e-05`` for X = -5. The vectorised path gets
+# those digits exactly: with e = floor(log10|x|) and k = 16 - e, the product
+# |x| * 10**k (10**k is an exact double for k <= 22) is formed without error
+# as hi + lo (Dekker, "A floating-point technique for extending the available
+# precision", 1971); e moves by one where 1e16 <= hi + lo < 1e17 fails, and
+# N = hi + rint(lo) is the round-half-even integer, because hi >= 2**53 is
+# even. N never rounds up to 10**17: the largest double below each power of
+# ten from 1e-4 to 1e15 is too far below it, so X = e.
+#
+# Each value becomes a 32-byte record of four little-endian words: the sign
+# and a "0.", "0.0" ... "0.000" prefix, then the digits with the point after
+# digit X, trailing zeros cut, an "e-05" suffix where due, and the column
+# separator in the last byte. Unused bytes are NUL and one pass of
+# ``bytes.translate`` drops them.
+_G17_MIN, _G17_MAX = 1e-5, 1e15
+_ASCII_ZEROS = 0x3030303030303030
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**k for k <= 22, its high 26-bit half, and the record layouts.
+
+    Layout row ``(negative * 21 + X + 5) * 17 + K``, for X = -5..15 and K the
+    index of the last nonzero of the 17 digits, holds the prefix word, then
+    three masks that keep the digits before the point, three that keep the
+    digits after it (the digits shifted up one byte), and three words of
+    constant bytes: the point and the "e-05" suffix.
+    """
+    pow10 = np.array([10.0**k for k in range(23)])
+    scaled = pow10 * _SPLITTER
+    pow10_hi = scaled - (scaled - pow10)
+    layouts = np.zeros((2, 21, 17, 10), dtype=np.uint64)
+    for negative in (0, 1):
+        for exp in range(-5, 16):
+            prefix = "-" * negative + ("0." + "0" * (-exp - 1) if -4 <= exp < 0 else "")
+            # The point follows digit `point`; fixed notation below 1 has it in the prefix.
+            point = exp if exp >= 0 else 0 if exp == -5 else None
+            for last in range(17):
+                before, after, const = bytearray(24), bytearray(24), bytearray(24)
+                if point is None:
+                    before[: last + 1] = b"\xff" * (last + 1)
+                else:
+                    before[: point + 1] = b"\xff" * (point + 1)
+                    if last > point:
+                        const[point + 1] = ord(".")
+                        after[point + 2 : last + 2] = b"\xff" * (last - point)
+                if exp == -5:
+                    const[18:22] = b"e-05"
+                words = [prefix.encode().ljust(8, b"\0")]
+                words += [bytes(b[w : w + 8]) for b in (before, after, const) for w in (0, 8, 16)]
+                layouts[negative, exp + 5, last] = [int.from_bytes(w, "little") for w in words]
+    return pow10, pow10_hi, layouts.reshape(-1, 10)
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each ``v < 10**8``, one per byte, first digit lowest."""
+    x = v // 10000
+    x = x | ((v - x * 10000) << 32)
+    y = ((x * 5243) >> 19) & 0x0000007F0000007F  # (x * 5243) >> 19 == x // 100 for x < 10**4
+    x = y | ((x - y * 100) << 16)
+    y = ((x * 103) >> 10) & 0x000F000F000F000F  # (x * 103) >> 10 == x // 10 for x < 100
+    return y | ((x - y * 10) << 8)
+
+
+def _nonzero_bytes(v: np.ndarray) -> np.ndarray:
+    """Bit j set where byte j of v is nonzero, for bytes below 0x80."""
+    high = ((v + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080) >> 7
+    return (high * 0x0102040810204080) >> 56
+
+
+def _g17_records(x: np.ndarray) -> np.ndarray:
+    """The 32-byte records of ``_FMT % v`` for each v in x, separators not set."""
+    pow10, pow10_hi, layouts = _g17_tables()
+    mag = np.abs(x)
+    fast = (mag >= _G17_MIN) & (mag <= _G17_MAX)
+    mag[~fast] = 1.0
+    scaled = mag * _SPLITTER
+    mag_hi = scaled - (scaled - mag)
+    mag_lo = mag - mag_hi
+    k = 16 - np.floor(np.log10(mag)).astype(np.int64)
+
+    def exact_product(k, mag, mag_hi, mag_lo):
+        p, p_hi = pow10.take(k), pow10_hi.take(k)
+        p_lo = p - p_hi
+        hi = mag * p
+        return hi, ((mag_hi * p_hi - hi) + mag_hi * p_lo + mag_lo * p_hi) + mag_lo * p_lo
+
+    hi, lo = exact_product(k, mag, mag_hi, mag_lo)
+    # hi strictly inside (1e16, 1e17) puts hi + lo inside too; log10 can be
+    # one off only next to a power of ten, so the exact test is on few values.
+    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if near.size:
+        h, l = hi[near], lo[near]
+        k[near] += ((h < 1e16) | ((h == 1e16) & (l < 0))).view(np.int8)
+        k[near] -= ((h > 1e17) | ((h == 1e17) & (l >= 0))).view(np.int8)
+        hi[near], lo[near] = exact_product(k[near], mag[near], mag_hi[near], mag_lo[near])
+    n = hi.astype(np.uint64) + np.rint(lo).astype(np.int64).view(np.uint64)
+    head = n // 10**9
+    tail = n // 10
+    digits = [_digits8(head), _digits8(tail - head * 10**8), n - tail * 10]
+    nonzero = _nonzero_bytes(digits[0]) | (_nonzero_bytes(digits[1]) << 8) | ((digits[2] != 0).astype(np.uint64) << 16)
+    last = np.frexp(nonzero.astype(float))[1] - 1  # index of the last nonzero digit
+    row = (np.signbit(x) * 21 + 21 - k) * 17 + last  # 21 - k = X + 5
+    layout = layouts.take(row, axis=0)
+    d0, d1, d2 = digits[0] + _ASCII_ZEROS, digits[1] + _ASCII_ZEROS, digits[2] + ord("0")
+    rec = np.empty((x.size, 4), dtype="<u8")  # little-endian whatever the machine
+    rec[:, 0] = layout[:, 0]
+    rec[:, 1] = (d0 & layout[:, 1]) | ((d0 << 8) & layout[:, 4]) | layout[:, 7]
+    rec[:, 2] = (d1 & layout[:, 2]) | (((d1 << 8) | (d0 >> 56)) & layout[:, 5]) | layout[:, 8]
+    rec[:, 3] = (d2 & layout[:, 3]) | (((d2 << 8) | (d1 >> 56)) & layout[:, 6]) | layout[:, 9]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join((_FMT % v).ljust(31, "\0") for v in x[slow].tolist())
+        rec.view(np.uint8)[slow, :31] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 31)
+    return rec
+
+
+def _format_span(rows: np.ndarray, start: int, stop: int) -> bytes:
+    """Rows ``start:stop`` as CSV text, every value as ``_FMT`` writes it."""
     span = rows[start:stop]
-    return ((line * len(span)) % tuple(span.ravel().tolist())).encode("ascii")
+    rec = _g17_records(span.ravel()).reshape(span.shape + (4,))
+    separators = np.full(span.shape[1], ord(","), dtype=np.uint64)
+    separators[-1] = ord("\n")
+    rec[:, :, 3] |= separators << 56
+    return rec.tobytes().translate(None, b"\0")
 
 
-def _format_worker(conn, readers, rows: np.ndarray, line: str, spans: list[tuple[int, int]]) -> None:
+def _format_worker(conn, readers, rows: np.ndarray, spans: list[tuple[int, int]]) -> None:
     # Ctrl-C reaches the whole process group; the writer ends the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Receiving ends inherited at the fork: with them closed, only the parent
@@ -58,13 +187,13 @@ def _format_worker(conn, readers, rows: np.ndarray, line: str, spans: list[tuple
         reader.close()
     try:
         for start, stop in spans:
-            conn.send_bytes(_format_span(rows, line, start, stop))
+            conn.send_bytes(_format_span(rows, start, stop))
     except BrokenPipeError:  # the parent died without ending the workers
         pass
 
 
 @contextlib.contextmanager
-def _span_workers(workers: int, rows: np.ndarray, line: str, spans: list[tuple[int, int]]):
+def _span_workers(workers: int, rows: np.ndarray, spans: list[tuple[int, int]]):
     """Forked workers, worker ``k`` formatting ``spans[k::workers]`` in order.
 
     Yields one receiving pipe end per worker; on exit the workers are joined,
@@ -84,7 +213,7 @@ def _span_workers(workers: int, rows: np.ndarray, line: str, spans: list[tuple[i
         for k in range(workers):
             recv, send = ctx.Pipe(duplex=False)
             conns.append(recv)
-            args = (send, list(conns), rows, line, spans[k::workers])
+            args = (send, list(conns), rows, spans[k::workers])
             proc = ctx.Process(target=_format_worker, args=args)
             proc.start()
             procs.append(proc)
@@ -107,25 +236,36 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
     Rows are formatted in spans of ``_CSV_CHUNK_ROWS``, so a long trace never
     sits in memory as text. With more than one span and more than one usable
     CPU, forked workers format the spans and the parent writes them in order.
+    A file gets each span's bytes as they come; standard output is written as
+    text, so it can be any text stream.
     """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join([_FMT] * len(columns)) + "\n"
     starts = range(0, len(rows), _CSV_CHUNK_ROWS)
     spans = [(start, min(start + _CSV_CHUNK_ROWS, len(rows))) for start in starts]
     workers = min(usable_cpus(), len(spans))
+    head = "".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n"
     with contextlib.ExitStack() as stack:
-        # The workers fork before the output is opened, so none inherits it.
+        # The workers fork before the output is opened, so none inherits it,
+        # and after the tables are built, so each inherits them.
+        _g17_tables()
         conns = None
         if workers > 1:
-            conns = stack.enter_context(_span_workers(workers, rows, line, spans))
-        out = stack.enter_context(open(path, "w")) if path is not None else sys.stdout
-        out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
+            conns = stack.enter_context(_span_workers(workers, rows, spans))
+        if path is None:
+            sys.stdout.write(head)
+            write = lambda data: sys.stdout.write(data.decode("ascii"))  # noqa: E731
+        else:
+            import locale
+
+            out = stack.enter_context(open(path, "wb"))
+            # The header in the encoding that open(path, "w") would use.
+            out.write(head.encode(locale.getpreferredencoding(False)))
+            write = out.write
         for k, (start, stop) in enumerate(spans):
             if conns is None:
-                text = _format_span(rows, line, start, stop)
+                write(_format_span(rows, start, stop))
             else:
-                text = conns[k % workers].recv_bytes()
-            out.write(text.decode("ascii"))
+                write(conns[k % workers].recv_bytes())
 
 
 def _report_rows(report: StabilityReport) -> list[tuple[str, str]]:

@@ -62,6 +62,21 @@ class PowerNetwork:
             raise DimensionError("inertia must be positive")
         if np.any(self.damping <= 0.0):
             raise DimensionError("damping must be positive")
+        # Finite inputs can still overflow the per-unit-inertia terms that the
+        # certificates, the equilibrium and the simulation are built from.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = self.local_gain - self.damping / self.inertia
+            derived = {
+                "damping/inertia": self.damping / self.inertia,
+                "1/inertia": 1.0 / self.inertia,
+                "injection/inertia": self.injection / self.inertia,
+                "local_gain - damping/inertia": rates,
+                "sum(local_gain - damping/inertia)": rates.sum(),
+                "sum(inertia*local_gain - damping)": np.sum(self.inertia * self.local_gain - self.damping),
+            }
+        for name, value in derived.items():
+            if not np.isfinite(value).all():
+                raise DimensionError(f"{name} must be finite")
         if self.p_layer.node_count != n:
             raise DimensionError("proportional layer node count differs from grid size")
         if not (math.isfinite(self.sigma_p) and self.sigma_p >= 0.0):
@@ -151,7 +166,8 @@ def check_power(pn: PowerNetwork) -> PowerReport:
     lam2_p = algebraic_connectivity(pn.p_layer)
     lam2_i = algebraic_connectivity(pn.electrical)
     if psi11 != 0.0:
-        threshold = float((a**2).sum() / (n * abs(psi11)) + a.max())
+        with np.errstate(over="ignore"):  # a finite rate's square may overflow: threshold inf
+            threshold = float((a**2).sum() / (n * abs(psi11)) + a.max())
     else:
         threshold = math.inf
     coupling = pn.sigma_p * lam2_p

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -9,11 +10,15 @@ import sys
 import time
 import warnings
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpxpi import cli, netspec
 from mpxpi.cli import main
@@ -225,6 +230,113 @@ def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
     assert alive() is None
 
 
+# ---------------------------------------------------------------------------
+# the span formatter against "%.17g" % x, value by value
+# ---------------------------------------------------------------------------
+
+
+def _span_bytes(rows):
+    rows = np.asarray(rows, dtype=float)
+    return cli._format_span(rows, 0, len(rows))
+
+
+def _rows_by_value(rows):
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(rows, dtype=float)).encode()
+
+
+def _assert_span_matches(values, n_cols=1):
+    rows = np.asarray(values, dtype=float).reshape(-1, n_cols)
+    got, want = _span_bytes(rows), _rows_by_value(rows)
+    if got != want:  # name the first value that differs
+        for line, row in zip(got.splitlines(), rows):
+            assert line.decode() == ",".join("%.17g" % v for v in row), row.tolist()
+    assert got == want
+
+
+def _signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def _ulp_neighbours(values, ulps=40):
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=48), st.integers(1, 4))
+def test_format_span_matches_percent_for_any_bit_pattern(patterns, n_cols):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = np.resize(values, (-(-len(values) // n_cols)) * n_cols)
+    _assert_span_matches(values, n_cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-5, 1e15) | st.floats(-1e15, -1e-5), min_size=1, max_size=48))
+def test_format_span_matches_percent_for_any_float(values):
+    _assert_span_matches(values, len(values))
+
+
+def test_format_span_matches_percent_on_random_values():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64 - 1, 100_000, dtype=np.uint64, endpoint=True)
+    _assert_span_matches(bits.view(np.float64), 5)
+    # Uniform bit patterns are mostly far outside 1e-5..1e15; spread values over it.
+    spread = rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.uniform(-6.0, 16.0, 100_000)
+    _assert_span_matches(spread, 4)
+
+
+def test_format_span_rounds_exact_ties_half_to_even():
+    # x = j / 2**s with j odd has exactly s digits after the point, the last
+    # a 5. With 18 significant digits, x lies halfway between two 17-digit
+    # decimals, and "%.17g" takes the one with an even last digit.
+    rng = np.random.default_rng(5)
+    ties = []
+    for exp in range(-5, 15):  # the decimal exponent of x
+        s = 17 - exp
+        lo = math.ceil(Fraction(10) ** exp * 2**s)
+        hi = math.ceil(Fraction(10) ** (exp + 1) * 2**s)
+        ties += [(int(j) | 1) / 2**s for j in rng.integers(lo, hi - 1, 300)]
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    _assert_span_matches(_signed(ties), 6)
+
+
+def test_format_span_matches_percent_next_to_powers_of_ten():
+    powers = [float(f"1e{p}") for p in range(-6, 17)]
+    _assert_span_matches(_signed(_ulp_neighbours(powers)), 3)
+    # The values that would round up to the next power of ten at 17 digits:
+    # 10**(p+1) - 5e-17 * 10**p is the rounding boundary.
+    boundaries = [float(Decimal(10) ** (p + 1) - 5 * Decimal(10) ** (p - 17)) for p in range(-6, 16)]
+    _assert_span_matches(_signed(_ulp_neighbours(boundaries)), 3)
+
+
+def test_format_span_matches_percent_at_the_edges_of_the_fast_range():
+    _assert_span_matches(_signed(_ulp_neighbours([1e-5, 1e15])), 1)
+    _assert_span_matches(_signed([1e-5, 1e15, 9.9999999999999991e-06, 1.0000000000000002e15]), 8)
+
+
+def test_format_span_matches_percent_on_special_values():
+    tiny = np.array([1, 2, 12345, 2**52 - 1, 2**52], dtype=np.uint64).view(np.float64)  # subnormals, then the least normal
+    specials = [0.0, -0.0, np.nan, -np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 1.7e308, -1.7e308,
+                np.finfo(float).max, *tiny, *-tiny]
+    assert np.signbit(specials[4])
+    _assert_span_matches(specials, 1)
+    _assert_span_matches(specials, len(specials))
+
+
+def test_format_span_mixes_fast_and_per_value_paths_in_one_span():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((301, 7)) * 10.0 ** rng.integers(-9, 19, (301, 7))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[:, 3] = rows[:, 3] < 0.0  # a 0/1 flag column, as in sweep output
+    rows[-1, -1] = np.nan
+    rows[0, 0] = -0.0
+    _assert_span_matches(rows, 7)
+    _assert_span_matches(rows[:, :1], 1)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_to_full_device_exits_2(hetero8, capsys, monkeypatch, cpus):
@@ -293,6 +405,39 @@ def test_power_check_from_spec(grid16, capsys):
     assert float(values["psi11"]) == pytest.approx(-2.3875, abs=1e-4)
     assert float(values["threshold"]) == pytest.approx(6.3991, abs=1e-3)
     assert float(values["sigma_P_min"]) == pytest.approx(0.8326, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "key, buses, value, message",
+    [
+        ("damping", [0], 1e308, "damping/inertia must be finite"),
+        ("inertia", range(16), 1e-309, "damping/inertia must be finite"),
+        ("local_gain", [0, 1], 1e308, "sum(local_gain - damping/inertia) must be finite"),
+    ],
+)
+def test_power_rejects_overflowing_rates(grid16, tmp_path, capsys, key, buses, value, message):
+    doc = json.loads(open(grid16).read())
+    for bus in buses:
+        doc[key][bus] = value
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["power", str(spec)]) == 2
+    captured = capsys.readouterr()
+    _assert_clean_input_error(captured, message)
+    assert captured.out == ""
+
+
+def test_power_reports_inf_threshold_when_a_square_overflows(grid16, tmp_path, capsys):
+    doc = json.loads(open(grid16).read())
+    doc["local_gain"][0] = 1e308
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["power", str(spec)]) == 1
+    captured = capsys.readouterr()
+    values = dict(line.split(None, 1) for line in captured.out.strip().splitlines())
+    assert values["threshold"] == "inf" and values["sigma_P_min"] == "inf"
+    assert values["condition_c2"] == "FAIL (margin -inf)"
+    assert captured.err == ""
 
 
 def test_power_demo_short_run(tmp_path, capsys):

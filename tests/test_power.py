@@ -270,3 +270,45 @@ def test_power_network_rejects_non_finite_values(grid16, name, value):
         bad[3] = value
     with pytest.raises(DimensionError, match=f"{name} must be finite"):
         dataclasses.replace(grid16, **{name: bad})
+
+
+def _overflowing(grid16, **entries):
+    arrays = {name: getattr(grid16, name).copy() for name in entries}
+    for name, (index, value) in entries.items():
+        if index is None:
+            arrays[name][:] = value
+        else:
+            arrays[name][index] = value
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"damping": (0, 1e308)}, "damping/inertia must be finite"),
+        ({"inertia": (None, 1e-309)}, "damping/inertia must be finite"),
+        ({"inertia": (None, 1e-310), "damping": (None, 1e-300)}, "1/inertia must be finite"),
+        ({"injection": (0, 1e308)}, "injection/inertia must be finite"),
+        ({"local_gain": (0, -1.7e308), "damping": (0, 5e307), "inertia": (None, 0.5)},
+         "local_gain - damping/inertia must be finite"),
+        ({"local_gain": ([0, 1], 1e308)}, r"sum\(local_gain - damping/inertia\) must be finite"),
+        ({"local_gain": (0, -1e308), "inertia": (None, 10.0)},
+         r"sum\(inertia\*local_gain - damping\) must be finite"),
+    ],
+)
+def test_power_network_rejects_overflowing_rates(grid16, entries, message):
+    # Finite inputs whose per-unit-inertia terms overflow would otherwise
+    # pass as finite and give inf or NaN certificates.
+    with pytest.raises(DimensionError, match=message):
+        dataclasses.replace(grid16, **_overflowing(grid16, **entries))
+
+
+def test_check_power_threshold_is_inf_when_a_square_overflows(grid16):
+    # Tier-1 turns RuntimeWarnings into errors, so this also checks that the
+    # overflow of a**2 warns nowhere.
+    grid = dataclasses.replace(grid16, **_overflowing(grid16, local_gain=(0, 1e308)))
+    report = check_power(grid)
+    assert report.threshold == np.inf and report.sigma_p_min == np.inf
+    assert np.isfinite(report.psi11) and report.psi11 > 0.0
+    assert not report.condition_c1 and not report.condition_c2
+    assert report.margin_c2 == -np.inf

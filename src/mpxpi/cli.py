@@ -4,9 +4,10 @@ Subcommands: check, tune, simulate, sweep, power, power-demo. Exit codes:
 0 on success / all conditions passing, 1 when a stability condition fails,
 2 on input errors. CSV output is deterministic for fixed inputs and seeds
 (full double precision, seeds echoed in the header). Traces are stepped by
-:mod:`mpxpi.kernels` in blocks of samples; a CSV of more than one span of
-rows is formatted on all usable CPUs by forked workers, byte for byte as one
-process would.
+:mod:`mpxpi.kernels` in blocks of samples. CSV values are formatted a span
+of rows at a time in numpy, with exactly the bytes ``"%.17g" % x`` gives; a
+CSV of more than one span is formatted on all usable CPUs by forked workers,
+byte for byte as one process would, and a file gets the bytes as they come.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def _num(x: float) -> str:
 # separator in the last byte. Unused bytes are NUL and one pass of
 # ``bytes.translate`` drops them.
 _G17_MIN, _G17_MAX = 1e-5, 1e15
+_G17_BLOCK = 8192
 _ASCII_ZEROS = 0x3030303030303030
 _SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 
@@ -151,7 +153,8 @@ def _g17_records(x: np.ndarray) -> np.ndarray:
     head = n // 10**9
     tail = n // 10
     digits = [_digits8(head), _digits8(tail - head * 10**8), n - tail * 10]
-    nonzero = _nonzero_bytes(digits[0]) | (_nonzero_bytes(digits[1]) << 8) | ((digits[2] != 0).astype(np.uint64) << 16)
+    nonzero = _nonzero_bytes(digits[0]) | (_nonzero_bytes(digits[1]) << 8)
+    nonzero |= (digits[2] != 0).astype(np.uint64) << 16
     last = np.frexp(nonzero.astype(float))[1] - 1  # index of the last nonzero digit
     row = (np.signbit(x) * 21 + 21 - k) * 17 + last  # 21 - k = X + 5
     layout = layouts.take(row, axis=0)
@@ -171,11 +174,16 @@ def _g17_records(x: np.ndarray) -> np.ndarray:
 def _format_span(rows: np.ndarray, start: int, stop: int) -> bytes:
     """Rows ``start:stop`` as CSV text, every value as ``_FMT`` writes it."""
     span = rows[start:stop]
-    rec = _g17_records(span.ravel()).reshape(span.shape + (4,))
     separators = np.full(span.shape[1], ord(","), dtype=np.uint64)
     separators[-1] = ord("\n")
-    rec[:, :, 3] |= separators << 56
-    return rec.tobytes().translate(None, b"\0")
+    # Blocks of about _G17_BLOCK values keep a pass's temporaries in cache.
+    step = max(1, _G17_BLOCK // span.shape[1])
+    parts = []
+    for block in (span[i : i + step] for i in range(0, len(span), step)):
+        rec = _g17_records(block.ravel()).reshape(block.shape + (4,))
+        rec[:, :, 3] |= separators << 56
+        parts.append(rec.tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
 def _format_worker(conn, readers, rows: np.ndarray, spans: list[tuple[int, int]]) -> None:

@@ -241,7 +241,8 @@ def _span_bytes(rows):
 
 
 def _rows_by_value(rows):
-    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in np.asarray(rows, dtype=float)).encode()
+    rows = np.asarray(rows, dtype=float)
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
 
 
 def _assert_span_matches(values, n_cols=1):
@@ -312,13 +313,27 @@ def test_format_span_matches_percent_next_to_powers_of_ten():
     _assert_span_matches(_signed(_ulp_neighbours(boundaries)), 3)
 
 
+@pytest.mark.parametrize("shift", [-0.3, 0.3])
+def test_format_span_corrects_an_exponent_estimate_one_off(monkeypatch, shift):
+    # floor(log10|x|) only estimates the exponent; the exact product decides.
+    # Shifting log10 puts the estimate one off for many values, exact powers
+    # of ten among them, in either direction.
+    log10 = np.log10
+    monkeypatch.setattr(cli.np, "log10", lambda a: log10(a) + shift)
+    rng = np.random.default_rng(34)
+    spread = rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-5.0, 15.0, 20_000)
+    powers = [float(f"1e{p}") for p in range(-5, 16)]
+    _assert_span_matches(np.concatenate([spread, _signed(_ulp_neighbours(powers, 3))]), 2)
+
+
 def test_format_span_matches_percent_at_the_edges_of_the_fast_range():
     _assert_span_matches(_signed(_ulp_neighbours([1e-5, 1e15])), 1)
     _assert_span_matches(_signed([1e-5, 1e15, 9.9999999999999991e-06, 1.0000000000000002e15]), 8)
 
 
 def test_format_span_matches_percent_on_special_values():
-    tiny = np.array([1, 2, 12345, 2**52 - 1, 2**52], dtype=np.uint64).view(np.float64)  # subnormals, then the least normal
+    # Subnormals, then the least normal double.
+    tiny = np.array([1, 2, 12345, 2**52 - 1, 2**52], dtype=np.uint64).view(np.float64)
     specials = [0.0, -0.0, np.nan, -np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 1.7e308, -1.7e308,
                 np.finfo(float).max, *tiny, *-tiny]
     assert np.signbit(specials[4])

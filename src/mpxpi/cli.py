@@ -128,7 +128,7 @@ def _g17_records(x: np.ndarray) -> np.ndarray:
     pow10, pow10_hi, layouts = _g17_tables()
     mag = np.abs(x)
     fast = (mag >= _G17_MIN) & (mag <= _G17_MAX)
-    mag[~fast] = 1.0
+    mag[~fast] = 1.0  # keeps every lane's exponent in the tables; these records are replaced below
     scaled = mag * _SPLITTER
     mag_hi = scaled - (scaled - mag)
     mag_lo = mag - mag_hi

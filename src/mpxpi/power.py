@@ -65,14 +65,17 @@ class PowerNetwork:
         # Finite inputs can still overflow the per-unit-inertia terms that the
         # certificates, the equilibrium and the simulation are built from.
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = self.local_gain - self.damping / self.inertia
+            damping_rate = self.damping / self.inertia
+            rates = self.local_gain - damping_rate
             derived = {
-                "damping/inertia": self.damping / self.inertia,
+                "damping/inertia": damping_rate,
                 "1/inertia": 1.0 / self.inertia,
                 "injection/inertia": self.injection / self.inertia,
                 "local_gain - damping/inertia": rates,
                 "sum(local_gain - damping/inertia)": rates.sum(),
                 "sum(inertia*local_gain - damping)": np.sum(self.inertia * self.local_gain - self.damping),
+                "sum(injection)": self.injection.sum(),
+                "sum(damping)": self.damping.sum(),
             }
         for name, value in derived.items():
             if not np.isfinite(value).all():

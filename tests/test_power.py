@@ -294,6 +294,9 @@ def _overflowing(grid16, **entries):
         ({"local_gain": ([0, 1], 1e308)}, r"sum\(local_gain - damping/inertia\) must be finite"),
         ({"local_gain": (0, -1e308), "inertia": (None, 10.0)},
          r"sum\(inertia\*local_gain - damping\) must be finite"),
+        ({"injection": ([0, 1], 1e308), "inertia": (None, 10.0)}, r"sum\(injection\) must be finite"),
+        ({"damping": ([0, 1], 1e308), "inertia": (None, 1e3), "local_gain": ([0, 1], 1e305)},
+         r"sum\(damping\) must be finite"),
     ],
 )
 def test_power_network_rejects_overflowing_rates(grid16, entries, message):

@@ -62,8 +62,8 @@ class PowerNetwork:
             raise DimensionError("inertia must be positive")
         if np.any(self.damping <= 0.0):
             raise DimensionError("damping must be positive")
-        # Finite inputs can still overflow the per-unit-inertia terms that the
-        # certificates, the equilibrium and the simulation are built from.
+        # Finite inputs can still overflow the per-unit-inertia terms and the
+        # sums that the certificates, the equilibrium and the simulation use.
         with np.errstate(over="ignore", invalid="ignore"):
             damping_rate = self.damping / self.inertia
             rates = self.local_gain - damping_rate

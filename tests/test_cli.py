@@ -247,19 +247,10 @@ def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _span_bytes(rows):
-    rows = np.asarray(rows, dtype=float)
-    return cli._format_span(rows, 0, len(rows))
-
-
-def _rows_by_value(rows):
-    rows = np.asarray(rows, dtype=float)
-    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
-
-
 def _assert_span_matches(values, n_cols=1):
     rows = np.asarray(values, dtype=float).reshape(-1, n_cols)
-    got, want = _span_bytes(rows), _rows_by_value(rows)
+    got = cli._format_span(rows, 0, len(rows))
+    want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
     if got != want:  # name the first value that differs
         for line, row in zip(got.splitlines(), rows):
             assert line.decode() == ",".join("%.17g" % v for v in row), row.tolist()

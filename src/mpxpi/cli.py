@@ -7,7 +7,7 @@ Subcommands: check, tune, simulate, sweep, power, power-demo. Exit codes:
 :mod:`mpxpi.kernels` in blocks of samples. CSV values are formatted a span
 of rows at a time in numpy, with exactly the bytes ``"%.17g" % x`` gives; a
 CSV of more than one span is formatted on all usable CPUs by forked workers,
-byte for byte as one process would, and a file gets the bytes as they come.
+byte for byte as one process would.
 """
 
 from __future__ import annotations
@@ -46,25 +46,26 @@ def _num(x: float) -> str:
 
 
 # CSV values are written as ``_FMT % x`` writes them, but a span at a time in
-# numpy. A value with 1e-5 <= |x| <= 1e15 takes the vectorised path below;
-# every other value (0, -0.0, NaN, infinities, subnormals, the rest) goes
-# through ``_FMT %`` itself. ``%.17g`` rounds x correctly to 17 significant
-# digits, half to even, and prints them with the exponent X of the rounded
-# value: fixed notation for -4 <= X < 17, trailing fraction zeros and a bare
-# point dropped, and ``d.ddd...e-05`` for X = -5. The vectorised path gets
-# those digits exactly: with e = floor(log10|x|) and k = 16 - e, the product
-# |x| * 10**k (10**k is an exact double for k <= 22) is formed without error
-# as hi + lo (Dekker, "A floating-point technique for extending the available
-# precision", 1971); e moves by one where 1e16 <= hi + lo < 1e17 fails, and
-# N = hi + rint(lo) is the round-half-even integer, because hi >= 2**53 is
-# even. N never rounds up to 10**17: the largest double below each power of
-# ten from 1e-4 to 1e15 is too far below it, so X = e.
+# numpy. A value with 1e-5 <= |x| <= 1e15 takes the vectorised path below,
+# a zero is written as "0" or "-0", and every other value (NaN, infinities,
+# subnormals, the rest) goes through ``%`` itself. ``%.17g`` rounds x
+# correctly to 17 significant digits, half to even, and prints them with the
+# exponent X of the rounded value: fixed notation for -4 <= X < 17, trailing
+# fraction zeros and a bare point dropped, and ``d.ddd...e-05`` for X = -5.
+# The vectorised path gets those digits exactly: with e = floor(log10|x|)
+# and k = 16 - e, the product |x| * 10**k (10**k is an exact double for
+# k <= 22) is formed without error as hi + lo (Dekker, "A floating-point
+# technique for extending the available precision", 1971); e moves by one
+# where 1e16 <= hi + lo < 1e17 fails, and N = hi + rint(lo) is the
+# round-half-even integer, because hi >= 2**53 is even. N never rounds up to
+# 10**17: the largest double below each power of ten from 1e-4 to 1e15 is too
+# far below it, so X = e.
 #
 # Each value becomes a 32-byte record of four little-endian words: the sign
 # and a "0.", "0.0" ... "0.000" prefix, then the digits with the point after
 # digit X, trailing zeros cut, an "e-05" suffix where due, and the column
-# separator in the last byte. Unused bytes are NUL and one pass of
-# ``bytes.translate`` drops them.
+# separator in the last byte. Unused bytes are NUL, or spaces after a value
+# formatted by ``%``, and one pass of ``bytes.translate`` drops them.
 _G17_MIN, _G17_MAX = 1e-5, 1e15
 _G17_BLOCK = 8192
 _ASCII_ZEROS = 0x3030303030303030
@@ -125,10 +126,24 @@ def _nonzero_bytes(v: np.ndarray) -> np.ndarray:
 
 def _g17_records(x: np.ndarray) -> np.ndarray:
     """The 32-byte records of ``_FMT % v`` for each v in x, separators not set."""
-    pow10, pow10_hi, layouts = _g17_tables()
     mag = np.abs(x)
     fast = (mag >= _G17_MIN) & (mag <= _G17_MAX)
-    mag[~fast] = 1.0  # keeps every lane's exponent in the tables; these records are replaced below
+    if fast.all():
+        return _g17_fast_records(x, mag)
+    rec = np.zeros((x.size, 4), dtype="<u8")
+    rec[fast] = _g17_fast_records(x[fast], mag[fast])
+    zero = np.flatnonzero(mag == 0)
+    rec[zero, 0] = np.where(np.signbit(x[zero]), int.from_bytes(b"-0", "little"), ord("0"))
+    slow = np.flatnonzero(~fast & (mag != 0))
+    if slow.size:
+        text = ("%-31.17g" * slow.size) % tuple(x[slow].tolist())  # space-padded _FMT
+        rec.view(np.uint8)[slow, :31] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 31)
+    return rec
+
+
+def _g17_fast_records(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """``_g17_records`` for 1e-5 <= |x| <= 1e15, given ``mag = |x|``."""
+    pow10, pow10_hi, layouts = _g17_tables()
     scaled = mag * _SPLITTER
     mag_hi = scaled - (scaled - mag)
     mag_lo = mag - mag_hi
@@ -164,10 +179,6 @@ def _g17_records(x: np.ndarray) -> np.ndarray:
     rec[:, 1] = (d0 & layout[:, 1]) | ((d0 << 8) & layout[:, 4]) | layout[:, 7]
     rec[:, 2] = (d1 & layout[:, 2]) | (((d1 << 8) | (d0 >> 56)) & layout[:, 5]) | layout[:, 8]
     rec[:, 3] = (d2 & layout[:, 3]) | (((d2 << 8) | (d1 >> 56)) & layout[:, 6]) | layout[:, 9]
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join((_FMT % v).ljust(31, "\0") for v in x[slow].tolist())
-        rec.view(np.uint8)[slow, :31] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 31)
     return rec
 
 
@@ -182,7 +193,7 @@ def _format_span(rows: np.ndarray, start: int, stop: int) -> bytes:
     for block in (span[i : i + step] for i in range(0, len(span), step)):
         rec = _g17_records(block.ravel()).reshape(block.shape + (4,))
         rec[:, :, 3] |= separators << 56
-        parts.append(rec.tobytes().translate(None, b"\0"))
+        parts.append(rec.tobytes().translate(None, b"\0 "))
     return b"".join(parts)
 
 
@@ -244,14 +255,11 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
     Rows are formatted in spans of ``_CSV_CHUNK_ROWS``, so a long trace never
     sits in memory as text. With more than one span and more than one usable
     CPU, forked workers format the spans and the parent writes them in order.
-    A file gets each span's bytes as they come; standard output is written as
-    text, so it can be any text stream.
     """
     rows = np.asarray(rows, dtype=float)
     starts = range(0, len(rows), _CSV_CHUNK_ROWS)
     spans = [(start, min(start + _CSV_CHUNK_ROWS, len(rows))) for start in starts]
     workers = min(usable_cpus(), len(spans))
-    head = "".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n"
     with contextlib.ExitStack() as stack:
         # The workers fork before the output is opened, so none inherits it,
         # and after the tables are built, so each inherits them.
@@ -259,21 +267,14 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], ro
         conns = None
         if workers > 1:
             conns = stack.enter_context(_span_workers(workers, rows, spans))
-        if path is None:
-            sys.stdout.write(head)
-            write = lambda data: sys.stdout.write(data.decode("ascii"))  # noqa: E731
-        else:
-            import locale
-
-            out = stack.enter_context(open(path, "wb"))
-            # The header in the encoding that open(path, "w") would use.
-            out.write(head.encode(locale.getpreferredencoding(False)))
-            write = out.write
+        out = stack.enter_context(open(path, "w")) if path is not None else sys.stdout
+        out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
         for k, (start, stop) in enumerate(spans):
             if conns is None:
-                write(_format_span(rows, start, stop))
+                text = _format_span(rows, start, stop)
             else:
-                write(conns[k % workers].recv_bytes())
+                text = conns[k % workers].recv_bytes()
+            out.write(text.decode("ascii"))
 
 
 def _report_rows(report: StabilityReport) -> list[tuple[str, str]]:

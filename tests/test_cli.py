@@ -124,18 +124,6 @@ def test_simulate_x0_from_file(hetero8, tmp_path):
     assert float(first[1]) == pytest.approx(-1.0)
 
 
-def test_simulate_header_keeps_the_text_encoding_of_the_file(hetero8, tmp_path):
-    # Spans are written as bytes; the header is encoded as a text-mode file would be.
-    x0 = tmp_path / "x0-\u00fc\u00df.json"
-    x0.write_text(json.dumps([0.5] * 16))
-    out = tmp_path / "t.csv"
-    assert main(["simulate", hetero8, "--t-end", "1.0", "--x0", str(x0),
-                 "--record-every", "1000", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == f"# x0=file:{x0}"
-    assert lines[3].split(",")[:2] == ["0", "0.5"]
-
-
 def test_simulate_full_run_reaches_consensus(hetero8, tmp_path):
     out = tmp_path / "full.csv"
     assert main(["simulate", hetero8, "--x0", "random:42", "--t-end", "50",
@@ -342,6 +330,7 @@ def test_format_span_matches_percent_on_special_values():
     assert np.signbit(specials[4])
     _assert_span_matches(specials, 1)
     _assert_span_matches(specials, len(specials))
+    _assert_span_matches([0.0, -0.0, -0.0, 0.0] * 3, 4)  # zeros only, no value for the fast path
 
 
 def test_format_span_mixes_fast_and_per_value_paths_in_one_span():

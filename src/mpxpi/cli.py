@@ -5,9 +5,11 @@ Subcommands: check, tune, simulate, sweep, power, power-demo. Exit codes:
 2 on input errors. CSV output is deterministic for fixed inputs and seeds
 (full double precision, seeds echoed in the header). Traces are stepped by
 :mod:`mpxpi.kernels` in blocks of samples. CSV values are formatted a span
-of rows at a time in numpy, with exactly the bytes ``"%.17g" % x`` gives; a
+of rows at a time in numpy, with exactly the bytes ``"%.17g" % x`` gives. A
 CSV of more than one span is formatted on all usable CPUs by forked workers,
-byte for byte as one process would.
+byte for byte as one process would: each worker writes its spans into the
+output itself, at offsets the parent hands out in order, or into a memory
+file the parent copies out when the output is not a regular file.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import signal
+import stat
 import sys
 from pathlib import Path
 
@@ -48,10 +51,12 @@ def _num(x: float) -> str:
 # CSV values are written as ``_FMT % x`` writes them, but a span at a time in
 # numpy. A value with 1e-5 <= |x| <= 1e15 takes the vectorised path below,
 # a zero is written as "0" or "-0", and every other value (NaN, infinities,
-# subnormals, the rest) goes through ``%`` itself. ``%.17g`` rounds x
-# correctly to 17 significant digits, half to even, and prints them with the
-# exponent X of the rounded value: fixed notation for -4 <= X < 17, trailing
-# fraction zeros and a bare point dropped, and ``d.ddd...e-05`` for X = -5.
+# subnormals, the rest) goes through ``%`` itself; a block of rows with no
+# value for the vectorised path, unless all zeros, takes one ``%`` call.
+# ``%.17g`` rounds x correctly to 17 significant digits, half to even, and
+# prints them with the exponent X of the rounded value: fixed notation for
+# -4 <= X < 17, trailing fraction zeros and a bare point dropped, and
+# ``d.ddd...e-05`` for X = -5.
 # The vectorised path gets those digits exactly: with e = floor(log10|x|)
 # and k = 16 - e, the product |x| * 10**k (10**k is an exact double for
 # k <= 22) is formed without error as hi + lo (Dekker, "A floating-point
@@ -124,10 +129,11 @@ def _nonzero_bytes(v: np.ndarray) -> np.ndarray:
     return (high * 0x0102040810204080) >> 56
 
 
-def _g17_records(x: np.ndarray) -> np.ndarray:
-    """The 32-byte records of ``_FMT % v`` for each v in x, separators not set."""
-    mag = np.abs(x)
-    fast = (mag >= _G17_MIN) & (mag <= _G17_MAX)
+def _g17_records(x: np.ndarray, mag: np.ndarray, fast: np.ndarray) -> np.ndarray:
+    """The 32-byte records of ``_FMT % v`` for each v in x, separators not set.
+
+    ``mag`` is ``|x|`` and ``fast`` flags the values with 1e-5 <= |v| <= 1e15.
+    """
     if fast.all():
         return _g17_fast_records(x, mag)
     rec = np.zeros((x.size, 4), dtype="<u8")
@@ -185,44 +191,62 @@ def _g17_fast_records(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
 def _format_span(rows: np.ndarray, start: int, stop: int) -> bytes:
     """Rows ``start:stop`` as CSV text, every value as ``_FMT`` writes it."""
     span = rows[start:stop]
+    line = ",".join([_FMT] * span.shape[1]) + "\n"
     separators = np.full(span.shape[1], ord(","), dtype=np.uint64)
     separators[-1] = ord("\n")
     # Blocks of about _G17_BLOCK values keep a pass's temporaries in cache.
     step = max(1, _G17_BLOCK // span.shape[1])
     parts = []
     for block in (span[i : i + step] for i in range(0, len(span), step)):
-        rec = _g17_records(block.ravel()).reshape(block.shape + (4,))
+        values = block.ravel()
+        mag = np.abs(values)
+        fast = (mag >= _G17_MIN) & (mag <= _G17_MAX)
+        if not fast.any() and mag.any():
+            # Nothing for the vectorised path and not all zeros: one ``%``
+            # call over whole rows beats building records around it.
+            parts.append(((line * len(block)) % tuple(values.tolist())).encode("ascii"))
+            continue
+        rec = _g17_records(values, mag, fast).reshape(block.shape + (4,))
         rec[:, :, 3] |= separators << 56
         parts.append(rec.tobytes().translate(None, b"\0 "))
     return b"".join(parts)
 
 
-def _format_worker(conn, readers, rows: np.ndarray, spans: list[tuple[int, int]]) -> None:
+def _format_worker(conn, parent_ends, fd: int, rows: np.ndarray, spans: list[tuple[int, int]]) -> None:
     # Ctrl-C reaches the whole process group; the writer ends the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Receiving ends inherited at the fork: with them closed, only the parent
-    # reads this pipe, so a send fails once the parent is gone.
-    for reader in readers:
-        reader.close()
+    # The parent's ends inherited at the fork: with them closed, a worker
+    # waiting for an offset sees end of file once the parent is gone.
+    for end in parent_ends:
+        end.close()
     try:
         for start, stop in spans:
-            conn.send_bytes(_format_span(rows, start, stop))
-    except BrokenPipeError:  # the parent died without ending the workers
+            data = memoryview(_format_span(rows, start, stop))
+            conn.send(len(data))
+            offset, done = conn.recv(), 0
+            try:
+                while done < len(data):
+                    done += os.pwrite(fd, data[done:], offset + done)
+            except OSError as exc:  # the parent raises it in its place
+                conn.send(exc)
+                return
+        conn.send(None)
+    except (EOFError, ConnectionError):  # the parent died without ending the workers
         pass
 
 
 @contextlib.contextmanager
-def _span_workers(workers: int, rows: np.ndarray, spans: list[tuple[int, int]]):
-    """Forked workers, worker ``k`` formatting ``spans[k::workers]`` in order.
+def _span_workers(workers: int, fd: int, rows: np.ndarray, spans: list[tuple[int, int]]):
+    """Forked workers, worker ``k`` writing ``spans[k::workers]`` into ``fd``.
 
-    Yields one receiving pipe end per worker; on exit the workers are joined,
-    after being terminated if the body raised. Fork hands each worker the
-    rows without pickling them; the workers only format floats and send
-    bytes, so they take no lock that another thread of the parent may have
-    held at the fork. A worker blocks on its pipe until the parent reads, so
-    at most two spans per worker are in flight. The parent reads in its own
-    thread: a pool's result thread would allocate every span in a fresh
-    malloc arena, and the parent's peak memory would grow with each call.
+    Yields one connection per worker. For each span a worker sends its
+    length in bytes and writes the text at the offset the parent sends back;
+    its next message, another length or None at the end, says the write is
+    done, and a failed write is sent as its OSError. On exit the workers are
+    joined, after being terminated if the body raised. Fork hands each worker
+    the rows and the open file without pickling them; the workers only format
+    floats and write bytes, so they take no lock that another thread of the
+    parent may have held at the fork.
     """
     import multiprocessing
 
@@ -230,13 +254,13 @@ def _span_workers(workers: int, rows: np.ndarray, spans: list[tuple[int, int]]):
     procs, conns = [], []
     try:
         for k in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            args = (send, list(conns), rows, spans[k::workers])
+            ours, theirs = ctx.Pipe()
+            conns.append(ours)
+            args = (theirs, list(conns), fd, rows, spans[k::workers])
             proc = ctx.Process(target=_format_worker, args=args)
             proc.start()
             procs.append(proc)
-            send.close()  # the worker holds the only send end, so its exit ends the pipe
+            theirs.close()  # the worker holds the only other end, so its exit ends the pipe
         yield conns
     except BaseException:
         for proc in procs:
@@ -249,32 +273,74 @@ def _span_workers(workers: int, rows: np.ndarray, spans: list[tuple[int, int]]):
             proc.join()
 
 
+def _offset_writable(out) -> int | None:
+    """The descriptor of ``out`` if it is a regular file whose writes go where they are asked to.
+
+    Pipes, terminals, devices, streams with no descriptor and files opened
+    to append (where ``pwrite`` appends) give None.
+    """
+    import fcntl
+
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):  # a replaced sys.stdout, or a closed one
+        return None
+    if stat.S_ISREG(os.fstat(fd).st_mode) and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
+        return fd
+    return None
+
+
 def _write_csv(path: str | None, header_lines: list[str], columns: list[str], rows) -> None:
     """Write ``rows`` under a header, to ``path`` or standard output.
 
     Rows are formatted in spans of ``_CSV_CHUNK_ROWS``, so a long trace never
     sits in memory as text. With more than one span and more than one usable
-    CPU, forked workers format the spans and the parent writes them in order.
+    CPU, forked workers format the spans and write them into the output
+    themselves, at offsets the parent hands out in span order; span text
+    never passes through the parent. Output that is not a regular file is
+    staged: each worker writes into its own slot of a memory file, and the
+    parent copies each span out once its worker says it is written, before
+    that worker may reuse the slot.
     """
     rows = np.asarray(rows, dtype=float)
     starts = range(0, len(rows), _CSV_CHUNK_ROWS)
     spans = [(start, min(start + _CSV_CHUNK_ROWS, len(rows))) for start in starts]
     workers = min(usable_cpus(), len(spans))
     with contextlib.ExitStack() as stack:
-        # The workers fork before the output is opened, so none inherits it,
-        # and after the tables are built, so each inherits them.
-        _g17_tables()
-        conns = None
-        if workers > 1:
-            conns = stack.enter_context(_span_workers(workers, rows, spans))
         out = stack.enter_context(open(path, "w")) if path is not None else sys.stdout
         out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
-        for k, (start, stop) in enumerate(spans):
-            if conns is None:
-                text = _format_span(rows, start, stop)
-            else:
-                text = conns[k % workers].recv_bytes()
-            out.write(text.decode("ascii"))
+        if workers < 2:
+            for start, stop in spans:
+                out.write(_format_span(rows, start, stop).decode("ascii"))
+            return
+        fd = _offset_writable(out)
+        staged = fd is None
+        if staged:
+            fd = os.memfd_create("mpxpi-csv")
+            stack.callback(os.close, fd)
+            slot = _CSV_CHUNK_ROWS * rows.shape[1] * 25  # a value and its separator take at most 25 bytes
+            position = 0
+        else:
+            out.flush()
+            position = os.lseek(fd, 0, os.SEEK_CUR)
+        _g17_tables()  # built before the fork, so each worker inherits them
+        conns = stack.enter_context(_span_workers(workers, fd, rows, spans))
+        lengths = []
+        # Message j from worker j % workers says span j - workers is written;
+        # the last `workers` messages end the workers.
+        for j in range(len(spans) + workers):
+            worker = j % workers
+            message = conns[worker].recv()
+            if isinstance(message, OSError):  # the worker's write failed
+                raise message
+            if staged and j >= workers:
+                out.write(os.pread(fd, lengths[j - workers], worker * slot).decode("ascii"))
+            if j < len(spans):
+                lengths.append(message)
+                conns[worker].send(worker * slot if staged else position)
+                position += message
+        if not staged:
+            os.lseek(fd, position, os.SEEK_SET)  # pwrite leaves the file position where it was
 
 
 def _report_rows(report: StabilityReport) -> list[tuple[str, str]]:

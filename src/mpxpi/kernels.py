@@ -15,9 +15,13 @@ those digits would add up.
 
 The ``S`` samples recorded after ``y0`` are stepped in blocks of
 B = ceil(sqrt(S)), at most 128 (an endpoint-only call is B = 1). Once per call
-the table ``M**1 - I ... M**B - I`` of the stride map is built; each block is
-then one ``(B d) x (d + 1)`` matrix-vector product from the last sample before
-it, written straight into the output, plus that sample. A call costs
+the table ``M**1 - I ... M**B - I`` of the stride map is built. The anchors,
+the last sample before each block, are stepped through its last row block,
+``M**B - I``, one matrix-vector product each. Then one product of the
+anchors with the whole table, written straight into the output, gives every
+recorded sample less its anchor: the table is read once for all blocks, not
+once per block (the packed-GEMM point of Goto and van de Geijn, "Anatomy of
+high-performance matrix multiplication", 2008). A call costs
 O(d^3 (log stride + B)) once, then O(d^2) per recorded sample, however many
 steps lie between samples. The samples are those of the RK4 stage loop up to
 roundoff, so the method keeps its fourth order.
@@ -35,9 +39,9 @@ import numpy as np
 # State magnitude beyond which a trajectory is declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
-# Most recorded samples per block: one product computes a block, and every
-# sample of it is checked before the next, so a divergent run computes at most
-# this many samples past the first bad one.
+# Most recorded samples per block: B products build the table and the anchors
+# take S / B matrix-vector products, so B = ceil(sqrt(S)) balances the two;
+# the cap bounds the table at 128 d (d + 1) values.
 _BLOCK = 128
 
 
@@ -130,20 +134,30 @@ def integrate_lti(
     n_rec = n_steps // stride + 1
     # ceil(sqrt(S)) for S = n_rec - 1: B products build the table, S / B the blocks
     block = min(_BLOCK, 1 + math.isqrt(n_rec - 2))
-    out = np.empty((n_rec, dim))
+    n_blocks = -(-(n_rec - 1) // block)
+    # Whole blocks of rows; the rows past n_rec are computed and cut off.
+    out = np.empty((1 + n_blocks * block, dim))
     out[0] = y0
     # A powered map that overflows gives non-finite samples, flagged below.
     with np.errstate(over="ignore", invalid="ignore"):
         table = _power_table(_step_increment(mat, forcing, dt, stride), block)
-        y = np.concatenate((y0, [1.0]))  # homogeneous coordinates: [y; 1]
-        for start in range(1, n_rec, block):
-            stop = min(start + block, n_rec)
-            samples = out[start:stop]
-            np.matmul(table[: (stop - start) * dim], y, out=samples.reshape(-1))
-            samples += y[:dim]
-            # NaN fails every comparison, so it counts as divergent here
-            if not np.abs(samples).max() <= DIVERGENCE_LIMIT:
-                bad = np.flatnonzero(~(np.abs(samples).max(axis=1) <= DIVERGENCE_LIMIT))
-                return out[: start + bad[0] + 1], True
-            y[:dim] = samples[-1]
+        # Homogeneous anchors [y; 1], each the last sample before its block,
+        # stepped through the table's last row block, M**B - I.
+        anchors = np.ones((n_blocks, dim + 1))
+        anchors[0, :dim] = y0
+        last = table[-dim:]
+        for k in range(1, n_blocks):
+            np.matmul(last, anchors[k - 1], out=anchors[k, :dim])
+            anchors[k, :dim] += anchors[k - 1, :dim]
+        # Every sample at once: block k is anchor k plus the table times it.
+        samples = out[1:].reshape(n_blocks, block * dim)
+        np.matmul(anchors, table.T, out=samples)
+        samples = out[1:].reshape(n_blocks, block, dim)
+        samples += anchors[:, None, :dim]
+    out = out[:n_rec]
+    recorded = out[1:]
+    # NaN fails every comparison, so it counts as divergent here
+    if not (recorded.max() <= DIVERGENCE_LIMIT and recorded.min() >= -DIVERGENCE_LIMIT):
+        bad = np.flatnonzero(~(np.abs(recorded).max(axis=1) <= DIVERGENCE_LIMIT))
+        return out[: bad[0] + 2], True  # through out[bad[0] + 1], the first bad sample
     return out, False

@@ -109,7 +109,13 @@ def spectral_abscissa(mat: np.ndarray) -> np.floating | np.ndarray:
 def consensus_index(states: np.ndarray, n_nodes: int, state_dim: int) -> np.ndarray:
     """d_x per sample: Euclidean norm of (x - average over nodes)."""
     arr = np.asarray(states, dtype=float).reshape(-1, n_nodes, state_dim)
-    dev = arr - arr.mean(axis=1, keepdims=True)
+    # The nodes summed in order, one state_dim slice each: the sum that
+    # mean(axis=1) forms for state_dim >= 2, without its slow reduction over
+    # a middle axis.
+    total = arr[:, 0].copy()
+    for node in range(1, n_nodes):
+        total += arr[:, node]
+    dev = arr - (total / n_nodes)[:, None, :]
     return np.linalg.norm(dev.reshape(arr.shape[0], -1), axis=1)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -221,6 +222,52 @@ def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("mode", ["w", "a"])
+def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
+    # A regular file takes the spans at offsets; one opened to append, where
+    # pwrite would append, is staged. Text around the CSV stays in place.
+    _usable_cpus(monkeypatch, cpus)
+    rows = _many_span_rows()
+    columns = ["t", "a", "b", "c"]
+    path = tmp_path / "stdout.csv"
+    path.write_text("old\n")
+    with open(path, mode) as fh, contextlib.redirect_stdout(fh):
+        print("before")
+        cli._write_csv(None, ["seed 9"], columns, rows)
+        print("after")
+    want = "before\n" + _csv_by_value(["seed 9"], columns, rows) + "after\n"
+    assert path.read_text() == ("old\n" if mode == "a" else "") + want
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="needs 2 CPUs")
+def test_simulate_to_a_pipe_writes_the_file_bytes(hetero8, tmp_path):
+    # Standard output that is a pipe goes through the staging file.
+    out = tmp_path / "t.csv"
+    assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 0
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "mpxpi.cli", "simulate", hetero8, "--t-end", "5"]
+    piped = subprocess.run(argv, env=env, stdout=subprocess.PIPE, check=True, timeout=120).stdout
+    assert piped == out.read_bytes()
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_simulate_exits_2_when_a_worker_write_fails(hetero8, tmp_path, capsys, monkeypatch, to_stdout):
+    # The forked workers inherit the patch: every span write fails.
+    _usable_cpus(monkeypatch, 2)
+
+    def no_space(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.os, "pwrite", no_space)
+    out = [] if to_stdout else ["--out", str(tmp_path / "t.csv")]
+    assert main(["simulate", hetero8, "--t-end", "5", *out]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "No space left on device")
+    assert multiprocessing.active_children() == []
+
+
 def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
     _usable_cpus(monkeypatch, 2)
     rows = _many_span_rows()
@@ -344,9 +391,29 @@ def test_format_span_mixes_fast_and_per_value_paths_in_one_span():
     _assert_span_matches(rows[:, :1], 1)
 
 
+def test_format_span_mixes_percent_blocks_with_vectorised_ones():
+    # A span is formatted in blocks of rows. A block with no value in
+    # 1e-5..1e15 that is not all zeros goes to one "%" call; the others are
+    # built as records. Alternate the two kinds, ending on a short block.
+    n_cols = 5
+    step = cli._G17_BLOCK // n_cols
+    rng = np.random.default_rng(13)
+    scales = [1e-9, 1e20, 1.0, 1e-9, 0.0, 1e-9, 1e3, 1e300]
+    blocks = [rng.standard_normal((step, n_cols)) * scale for scale in scales]
+    blocks[1][0, :3] = [np.nan, -np.inf, 5e-324]  # specials in a "%" block
+    blocks[3][::2] = 0.0  # zeros and tiny values: still one "%" call
+    blocks[4][1::3] = -0.0  # all zeros, both signs: records
+    blocks[5][7, 3] = 3.5  # one fast value among tiny ones: records
+    rows = np.vstack(blocks + [rng.standard_normal((17, n_cols)) * 1e-200])
+    _assert_span_matches(rows, n_cols)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_to_full_device_exits_2(hetero8, capsys, monkeypatch, cpus):
+    # 5001 rows are three spans: with workers, a device is written through
+    # the staging file, and the first span copied out fails.
+    assert 5001 > 2 * SPAN
     _usable_cpus(monkeypatch, cpus)
     assert main(["simulate", hetero8, "--t-end", "5", "--out", "/dev/full"]) == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")

@@ -160,12 +160,26 @@ def test_divergence_at_a_derived_block_edge(n_steps, first_bad):
     _assert_diverges_at(first_bad, n_steps)
 
 
-def _assert_diverges_at(first_bad, n_steps):
+@pytest.mark.parametrize(
+    ("n_steps", "first_bad"),
+    # mid-block and a block's first sample, at B = BLOCK and at derived B = 10 and 23
+    [(BLOCK**2, BLOCK + BLOCK // 2), (BLOCK**2, 1), (BLOCK**2, 3 * BLOCK + 1),
+     (100, 15), (100, 21), (500, 35), (500, 47)],
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_divergence_mid_block_truncates_after_the_first_bad_sample(n_steps, first_bad, sign):
+    # Every sample comes from one product, so samples past the first bad one
+    # are computed too, overflowing to inf at BLOCK**2 steps: the run must
+    # still end right after the first bad sample, and raise no RuntimeWarning.
+    _assert_diverges_at(first_bad, n_steps, sign)
+
+
+def _assert_diverges_at(first_bad, n_steps, sign=1.0):
     # y' = y at dt = 0.1 grows by g per step; starting at 1e12 / g**(first_bad - 0.5)
     # the state first passes 1e12 at sample first_bad, half a step clear of it
     dt = 0.1
     growth = 1.0 + dt + dt**2 / 2.0 + dt**3 / 6.0 + dt**4 / 24.0
-    y0 = np.array([kernels.DIVERGENCE_LIMIT / growth ** (first_bad - 0.5)])
+    y0 = np.array([sign * kernels.DIVERGENCE_LIMIT / growth ** (first_bad - 0.5)])
     got, diverged = _assert_matches_stage_loop(np.array([[1.0]]), np.zeros(1), y0, dt, n_steps, 1)
     assert diverged
     assert got.shape == (first_bad + 1, 1)

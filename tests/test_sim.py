@@ -297,6 +297,23 @@ def test_simulate_rejects_non_finite_x0(demo8, bad):
         simulate(demo8, x0, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("state_dim", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [1, 2, 8, 9, 17])
+def test_consensus_index_matches_the_mean_over_nodes(n_nodes, state_dim):
+    # Summing the nodes in order is what mean(axis=1) does for state_dim >= 2;
+    # for state_dim = 1 numpy sums pairwise, so the bits may differ slightly.
+    rng = np.random.default_rng(n_nodes * 10 + state_dim)
+    samples = rng.standard_normal((500, 2 * n_nodes * state_dim)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
+    states = samples[:, : n_nodes * state_dim]  # strided, as simulate passes them
+    arr = states.reshape(-1, n_nodes, state_dim)
+    want = np.linalg.norm((arr - arr.mean(axis=1, keepdims=True)).reshape(len(arr), -1), axis=1)
+    got = consensus_index(states, n_nodes, state_dim)
+    if state_dim >= 2:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+
 def test_bias_shift_moves_consensus_not_deviations(demo8):
     # matched initial deviations: identical d_x traces, consensus point
     # shifted by the averaged-dynamics response to the bias change

@@ -6,10 +6,12 @@ Subcommands: check, tune, simulate, sweep, power, power-demo. Exit codes:
 (full double precision, seeds echoed in the header). Traces are stepped by
 :mod:`mpxpi.kernels` in blocks of samples. CSV values are formatted a span
 of rows at a time in numpy, with exactly the bytes ``"%.17g" % x`` gives. A
-CSV of more than one span is formatted on all usable CPUs by forked workers,
-byte for byte as one process would: each worker writes its spans into the
-output itself, at offsets the parent hands out in order, or into a memory
-file the parent copies out when the output is not a regular file.
+CSV of more than one span is split into near-equal spans, the same number
+for each usable CPU, and formatted byte for byte as one process would by
+the parent and one forked worker for every other CPU: each process writes
+its spans into the output itself, at offsets the parent hands out in order,
+or, when the output is not a regular file, the workers write into a memory
+file that the parent copies out.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -50,9 +53,11 @@ def _num(x: float) -> str:
 
 # CSV values are written as ``_FMT % x`` writes them, but a span at a time in
 # numpy. A value with 1e-5 <= |x| <= 1e15 takes the vectorised path below,
-# a zero is written as "0" or "-0", and every other value (NaN, infinities,
-# subnormals, the rest) goes through ``%`` itself; a block of rows with no
-# value for the vectorised path, unless all zeros, takes one ``%`` call.
+# and every other value (NaN, infinities, subnormals, the rest) goes through
+# ``%`` itself; a block of rows with no value for the vectorised path,
+# unless all zeros, takes one ``%`` call. In a block with values of both
+# kinds, zeros and the one-digit integers ("0", "-0", "1" ... "-9", as in a
+# flag column) are written as their sign and digit.
 # ``%.17g`` rounds x correctly to 17 significant digits, half to even, and
 # prints them with the exponent X of the rounded value: fixed notation for
 # -4 <= X < 17, trailing fraction zeros and a bare point dropped, and
@@ -137,10 +142,16 @@ def _g17_records(x: np.ndarray, mag: np.ndarray, fast: np.ndarray) -> np.ndarray
     if fast.all():
         return _g17_fast_records(x, mag)
     rec = np.zeros((x.size, 4), dtype="<u8")
-    rec[fast] = _g17_fast_records(x[fast], mag[fast])
-    zero = np.flatnonzero(mag == 0)
-    rec[zero, 0] = np.where(np.signbit(x[zero]), int.from_bytes(b"-0", "little"), ord("0"))
-    slow = np.flatnonzero(~fast & (mag != 0))
+    # Zeros and the one-digit integers (flag columns) are their sign and digit.
+    short = mag <= 9
+    short &= np.floor(mag, out=np.zeros_like(mag), where=short) == mag  # no floor of a NaN
+    digit = np.flatnonzero(short)
+    word = mag[digit].astype(np.uint64) + ord("0")
+    rec[digit, 0] = np.where(np.signbit(x[digit]), (word << 8) | ord("-"), word)
+    wide = np.flatnonzero(fast & ~short)
+    if wide.size:
+        rec[wide] = _g17_fast_records(x[wide], mag[wide])
+    slow = np.flatnonzero(~(fast | short))
     if slow.size:
         text = ("%-31.17g" * slow.size) % tuple(x[slow].tolist())  # space-padded _FMT
         rec.view(np.uint8)[slow, :31] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 31)
@@ -188,9 +199,8 @@ def _g17_fast_records(x: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return rec
 
 
-def _format_span(rows: np.ndarray, start: int, stop: int) -> bytes:
-    """Rows ``start:stop`` as CSV text, every value as ``_FMT`` writes it."""
-    span = rows[start:stop]
+def _format_span(span: np.ndarray) -> bytes:
+    """The rows of ``span`` as CSV text, every value as ``_FMT`` writes it."""
     line = ",".join([_FMT] * span.shape[1]) + "\n"
     separators = np.full(span.shape[1], ord(","), dtype=np.uint64)
     separators[-1] = ord("\n")
@@ -212,51 +222,85 @@ def _format_span(rows: np.ndarray, start: int, stop: int) -> bytes:
     return b"".join(parts)
 
 
-def _format_worker(conn, parent_ends, fd: int, rows: np.ndarray, spans: list[tuple[int, int]]) -> None:
+def _csv_spans(n_rows: int) -> tuple[int, list[tuple[int, int]]]:
+    """The number of processes to format ``n_rows`` rows, and ``(start, stop)`` of each span.
+
+    Rows that fit one span of ``_CSV_CHUNK_ROWS`` take one process; more
+    take every usable CPU. The spans are near-equal (their sizes differ by
+    one row at most), at most ``_CSV_CHUNK_ROWS`` rows each, and as many as
+    a multiple of the processes, so every process formats as many spans as
+    every other.
+    """
+    count = max(1, -(-n_rows // _CSV_CHUNK_ROWS))
+    processes = usable_cpus() if count > 1 else 1
+    count = -(-count // processes) * processes
+    edges = [n_rows * i // count for i in range(count + 1)]
+    return processes, list(zip(edges[:-1], edges[1:]))
+
+
+def _span_rows(blocks: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the column blocks side by side, as floats."""
+    return np.column_stack([block[start:stop] for block in blocks]).astype(float, copy=False)
+
+
+def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    view, done = memoryview(data), 0
+    while done < len(view):
+        done += os.pwrite(fd, view[done:], offset + done)
+
+
+def _format_worker(conn, parent_ends, fd: int, blocks: list[np.ndarray], spans: list[tuple[int, int]]) -> None:
     # Ctrl-C reaches the whole process group; the writer ends the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # The parent's ends inherited at the fork: with them closed, a worker
     # waiting for an offset sees end of file once the parent is gone.
     for end in parent_ends:
         end.close()
+    texts = (_format_span(_span_rows(blocks, start, stop)) for start, stop in spans)
     try:
-        for start, stop in spans:
-            data = memoryview(_format_span(rows, start, stop))
-            conn.send(len(data))
-            offset, done = conn.recv(), 0
-            try:
-                while done < len(data):
-                    done += os.pwrite(fd, data[done:], offset + done)
-            except OSError as exc:  # the parent raises it in its place
-                conn.send(exc)
-                return
-        conn.send(None)
+        previous = None
+        for text in itertools.chain(texts, [None]):
+            if text is not None:
+                conn.send(len(text))
+            if previous is not None:
+                _pwrite_all(fd, previous, conn.recv())
+                conn.send(None)
+            previous = text
     except (EOFError, ConnectionError):  # the parent died without ending the workers
         pass
+    except OSError as exc:  # a failed write: the parent raises it in its place
+        conn.send(exc)
+        # Stay until the parent, which may still send an offset, ends the workers.
+        with contextlib.suppress(EOFError, ConnectionError):
+            while True:
+                conn.recv()
 
 
 @contextlib.contextmanager
-def _span_workers(workers: int, fd: int, rows: np.ndarray, spans: list[tuple[int, int]]):
-    """Forked workers, worker ``k`` writing ``spans[k::workers]`` into ``fd``.
+def _span_workers(processes: int, fd: int, blocks: list[np.ndarray], spans: list[tuple[int, int]]):
+    """``processes - 1`` forked workers; the parent is the remaining process.
 
-    Yields one connection per worker. For each span a worker sends its
-    length in bytes and writes the text at the offset the parent sends back;
-    its next message, another length or None at the end, says the write is
-    done, and a failed write is sent as its OSError. On exit the workers are
-    joined, after being terminated if the body raised. Fork hands each worker
-    the rows and the open file without pickling them; the workers only format
-    floats and write bytes, so they take no lock that another thread of the
-    parent may have held at the fork.
+    Worker ``k`` (from 1) formats ``spans[k::processes]``, the parent
+    formats ``spans[::processes]`` itself. Yields one connection per worker.
+    A worker sends the length in bytes of each span it has formatted, and
+    formats its next span before it reads the offset for the last one, so it
+    never waits for the parent to finish a span of its own. Then it writes
+    that span's text into ``fd`` at the offset and sends None, or the
+    OSError of a failed write. On exit the workers are joined, after being
+    terminated if the body raised. Fork hands each worker the column blocks
+    and the open file without pickling them; the workers only stack and
+    format floats and write bytes, so they take no lock that another thread
+    of the parent may have held at the fork.
     """
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
-        for k in range(workers):
+        for k in range(1, processes):
             ours, theirs = ctx.Pipe()
             conns.append(ours)
-            args = (theirs, list(conns), fd, rows, spans[k::workers])
+            args = (theirs, list(conns), fd, blocks, spans[k::processes])
             proc = ctx.Process(target=_format_worker, args=args)
             proc.start()
             procs.append(proc)
@@ -271,6 +315,14 @@ def _span_workers(workers: int, fd: int, rows: np.ndarray, spans: list[tuple[int
             conn.close()
         for proc in procs:
             proc.join()
+
+
+def _receive(conn):
+    """The next message from a worker; a failed write is raised here."""
+    message = conn.recv()
+    if isinstance(message, OSError):
+        raise message
+    return message
 
 
 def _offset_writable(out) -> int | None:
@@ -290,55 +342,70 @@ def _offset_writable(out) -> int | None:
     return None
 
 
-def _write_csv(path: str | None, header_lines: list[str], columns: list[str], rows) -> None:
-    """Write ``rows`` under a header, to ``path`` or standard output.
+def _write_csv(path: str | None, header_lines: list[str], columns: list[str], *blocks) -> None:
+    """Write the rows of the column ``blocks`` under a header, to ``path`` or standard output.
 
-    Rows are formatted in spans of ``_CSV_CHUNK_ROWS``, so a long trace never
-    sits in memory as text. With more than one span and more than one usable
-    CPU, forked workers format the spans and write them into the output
-    themselves, at offsets the parent hands out in span order; span text
-    never passes through the parent. Output that is not a regular file is
-    staged: each worker writes into its own slot of a memory file, and the
-    parent copies each span out once its worker says it is written, before
-    that worker may reuse the slot.
+    Each block is one column (1-D) or several (2-D) of the same rows; the
+    rows of a span are put side by side only when that span is formatted,
+    so the rows are never copied whole and never sit in memory as text.
+    With more than ``_CSV_CHUNK_ROWS`` rows, ``_csv_spans`` splits them
+    into near-equal spans, the same number for each usable CPU, and
+    ``_span_workers`` forks a worker for every CPU but one; the parent
+    formats the first span of every round of spans itself. Each process
+    writes its spans into the output at offsets the parent hands out in
+    span order, and the parent holds one span of text at a time. Output
+    that is not a regular file (or is opened to append) is staged: each
+    worker writes into two slots of a memory file in turn, and the parent
+    copies each span out in order once its worker says it is written,
+    writing its own spans out directly.
     """
-    rows = np.asarray(rows, dtype=float)
-    starts = range(0, len(rows), _CSV_CHUNK_ROWS)
-    spans = [(start, min(start + _CSV_CHUNK_ROWS, len(rows))) for start in starts]
-    workers = min(usable_cpus(), len(spans))
+    blocks = [np.asarray(block) for block in blocks]
+    n_rows = len(blocks[0])
+    processes, spans = _csv_spans(n_rows)
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(path, "w")) if path is not None else sys.stdout
         out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
-        if workers < 2:
-            for start, stop in spans:
-                out.write(_format_span(rows, start, stop).decode("ascii"))
-            return
         fd = _offset_writable(out)
         staged = fd is None
-        if staged:
-            fd = os.memfd_create("mpxpi-csv")
-            stack.callback(os.close, fd)
-            slot = _CSV_CHUNK_ROWS * rows.shape[1] * 25  # a value and its separator take at most 25 bytes
-            position = 0
-        else:
+        position = 0
+        if not staged:
             out.flush()
             position = os.lseek(fd, 0, os.SEEK_CUR)
-        _g17_tables()  # built before the fork, so each worker inherits them
-        conns = stack.enter_context(_span_workers(workers, fd, rows, spans))
-        lengths = []
-        # Message j from worker j % workers says span j - workers is written;
-        # the last `workers` messages end the workers.
-        for j in range(len(spans) + workers):
-            worker = j % workers
-            message = conns[worker].recv()
-            if isinstance(message, OSError):  # the worker's write failed
-                raise message
-            if staged and j >= workers:
-                out.write(os.pread(fd, lengths[j - workers], worker * slot).decode("ascii"))
-            if j < len(spans):
-                lengths.append(message)
-                conns[worker].send(worker * slot if staged else position)
-                position += message
+        conns = []
+        if processes > 1:
+            if staged:
+                fd = os.memfd_create("mpxpi-csv")
+                stack.callback(os.close, fd)
+                # A value and its separator take at most 25 bytes.
+                slot = _CSV_CHUNK_ROWS * sum(block.size for block in blocks) // n_rows * 25
+            _g17_tables()  # built before the fork, so each worker inherits them
+            conns = stack.enter_context(_span_workers(processes, fd, blocks, spans))
+
+        def collect(placed):
+            # Each worker's word that its span is written; staged spans go out in order.
+            for conn, (offset, length) in zip(conns, placed):
+                _receive(conn)
+                if staged:
+                    out.write(os.pread(fd, length, offset).decode("ascii"))
+
+        placed = []
+        for m, (start, stop) in enumerate(spans[::processes]):
+            text = _format_span(_span_rows(blocks, start, stop))
+            at, position = position, position + len(text)
+            last, placed = placed, []
+            for k, conn in enumerate(conns):  # the spans after the parent's, in order
+                length = _receive(conn)
+                # A staged span's slot was copied out in the round before.
+                offset = (2 * k + m % 2) * slot if staged else position
+                conn.send(offset)
+                placed.append((offset, length))
+                position += length
+            if not staged:
+                _pwrite_all(fd, text, at)
+            collect(last)
+            if staged:
+                out.write(text.decode("ascii"))
+        collect(placed)
         if not staged:
             os.lseek(fd, position, os.SEEK_SET)  # pwrite leaves the file position where it was
 
@@ -448,11 +515,10 @@ def _cmd_simulate(args) -> int:
         + [f"z_{k + 1}" for k in range(size)]
         + ["d_x"]
     )
-    rows = np.column_stack([trace.times, trace.states, trace.integrals, trace.d_x])
     header = [x0_note, f"t_end={_num(t_end)} dt={_num(dt)} record_every={args.record_every}"]
     if trace.divergent:
         header.append("divergent=true (trace truncated)")
-    _write_csv(args.out, header, columns, rows)
+    _write_csv(args.out, header, columns, trace.times, trace.states, trace.integrals, trace.d_x)
     return 0
 
 
@@ -472,14 +538,14 @@ def _cmd_sweep(args) -> int:
     system, _ = netspec.parse_spec(args.spec)
     result = sim_mod.sweep(system, _parse_grid(args.sigma_p), _parse_grid(args.sigma_i))
     sp, si = result.sigma_p, result.sigma_i
-    rows = np.column_stack(
-        [np.repeat(sp, si.size), np.tile(si, sp.size), result.abscissa.ravel(), result.stable.ravel()]
-    )
     _write_csv(
         args.out,
         [f"sigma_p={args.sigma_p} sigma_i={args.sigma_i}"],
         ["sigma_p", "sigma_i", "abscissa", "stable"],
-        rows,
+        np.repeat(sp, si.size),
+        np.tile(si, sp.size),
+        result.abscissa.ravel(),
+        result.stable.ravel(),
     )
     return 0
 
@@ -532,12 +598,14 @@ def _cmd_power_demo(args) -> int:
             + [f"z_{k + 1}" for k in range(n)]
             + ["spread"]
         )
-        rows = np.column_stack([trace.times, trace.omega, trace.powers, trace.spread])
         _write_csv(
             args.out,
             [f"sigma_p={_num(args.sigma_p)} t_end={_num(args.t_end)} dt={_num(args.dt)}"],
             columns,
-            rows,
+            trace.times,
+            trace.omega,
+            trace.powers,
+            trace.spread,
         )
     return 0 if report.passed and not trace.divergent else 1
 

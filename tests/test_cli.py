@@ -222,7 +222,7 @@ def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["w", "a"])
 def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
     # A regular file takes the spans at offsets; one opened to append, where
@@ -277,6 +277,135 @@ def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
     assert alive() is None
 
 
+SPLIT_ROWS = [1, SPAN - 1, SPAN, SPAN + 1, 4001, 5001, 5 * SPAN + 17]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", SPLIT_ROWS)
+def test_csv_spans_split_rows_evenly(monkeypatch, cpus, n_rows):
+    _usable_cpus(monkeypatch, cpus)
+    processes, spans = cli._csv_spans(n_rows)
+    assert processes == (cpus if n_rows > SPAN else 1)
+    assert len(spans) % processes == 0
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+    assert spans[-1][1] == n_rows
+    sizes = [stop - start for start, stop in spans]
+    assert max(sizes) <= SPAN and max(sizes) - min(sizes) <= 1
+
+
+def test_csv_spans_examples(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    assert cli._csv_spans(5001) == (2, [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5001)])
+    assert cli._csv_spans(4001) == (2, [(0, 2000), (2000, 4001)])
+
+
+def _assert_same_text(got, want):
+    # Name the first line that differs: a diff of megabytes of text is too slow.
+    if got != want:
+        for number, (line, wanted) in enumerate(zip(got.splitlines(), want.splitlines())):
+            assert line == wanted, f"line {number}"
+        assert len(got) == len(want)
+
+
+def _write_through_a_pipe(*args):
+    # A reader thread drains the pipe, so the writer never blocks on a full one.
+    import threading
+
+    read_end, write_end = os.pipe()
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.extend(iter(lambda: os.read(read_end, 1 << 16), b"")))
+    reader.start()
+    try:
+        with open(write_end, "w") as fh, contextlib.redirect_stdout(fh):
+            cli._write_csv(None, *args)
+    finally:
+        reader.join()
+        os.close(read_end)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", SPLIT_ROWS)
+def test_write_csv_split_gives_the_same_bytes_to_every_destination(tmp_path, monkeypatch, cpus, n_rows):
+    _usable_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(n_rows)
+    times = np.arange(n_rows) * 1e-3
+    states = rng.standard_normal((n_rows, 3)) * 1e3
+    flags = states[:, 0] < 0.0  # a 0/1 column, as sweep's stable column
+    args = (["seed 9"], ["t", "a", "b", "c", "f"], times, states, flags)
+    want = _csv_by_value(["seed 9"], args[1], np.column_stack([times, states, flags]))
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), *args)
+    _assert_same_text(out.read_text(), want)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write_csv(None, *args)
+    _assert_same_text(buf.getvalue(), want)
+    _assert_same_text(_write_through_a_pipe(*args).decode(), want)
+    out.write_text("old\n")
+    with open(out, "a") as fh, contextlib.redirect_stdout(fh):
+        cli._write_csv(None, *args)
+    _assert_same_text(out.read_text(), "old\n" + want)
+    assert multiprocessing.active_children() == []
+
+
+def _count_forks(monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize(
+    "cpus, n_rows, workers",
+    [(1, 3 * SPAN + 5, 0), (2, 3 * SPAN + 5, 1), (3, 3 * SPAN + 5, 2), (3, SPAN, 0), (2, 1, 0)],
+)
+def test_write_csv_forks_one_worker_per_cpu_but_one(tmp_path, monkeypatch, cpus, n_rows, workers):
+    _usable_cpus(monkeypatch, cpus)
+    started = _count_forks(monkeypatch)
+    rows = np.random.default_rng(3).standard_normal((n_rows, 2))
+    cli._write_csv(str(tmp_path / "rows.csv"), [], ["a", "b"], rows)
+    assert len(started) == workers
+    assert (tmp_path / "rows.csv").read_text() == _csv_by_value([], ["a", "b"], rows)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "to_stdout, failing", [(False, "every"), (False, "parent"), (False, "workers"), (True, "every")]
+)
+def test_simulate_exits_2_when_a_later_span_write_fails(
+    hetero8, tmp_path, capsys, monkeypatch, cpus, to_stdout, failing
+):
+    # Each process's first span write succeeds and its second fails: in
+    # every process, in the parent only or in the workers only. 10001 rows
+    # are at least two spans for each process. Staged output (standard
+    # output here) is pwritten by the workers only, as the parent writes
+    # its own spans to the stream.
+    _usable_cpus(monkeypatch, cpus)
+    parent, pwrite, calls = os.getpid(), os.pwrite, {}
+
+    def second_call_fails(fd, data, offset):
+        pid = os.getpid()
+        calls[pid] = calls.get(pid, 0) + 1
+        if calls[pid] == 2 and failing in ("every", "parent" if pid == parent else "workers"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(cli.os, "pwrite", second_call_fails)
+    out = [] if to_stdout else ["--out", str(tmp_path / "t.csv")]
+    assert main(["simulate", hetero8, "--t-end", "10", *out]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "No space left on device")
+    assert multiprocessing.active_children() == []
+    if failing == "parent":
+        assert calls[parent] == 2
+
+
 # ---------------------------------------------------------------------------
 # the span formatter against "%.17g" % x, value by value
 # ---------------------------------------------------------------------------
@@ -284,7 +413,7 @@ def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
 
 def _assert_span_matches(values, n_cols=1):
     rows = np.asarray(values, dtype=float).reshape(-1, n_cols)
-    got = cli._format_span(rows, 0, len(rows))
+    got = cli._format_span(rows)
     want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
     if got != want:  # name the first value that differs
         for line, row in zip(got.splitlines(), rows):
@@ -391,6 +520,30 @@ def test_format_span_mixes_fast_and_per_value_paths_in_one_span():
     _assert_span_matches(rows[:, :1], 1)
 
 
+def test_format_span_writes_flag_and_one_digit_columns_as_percent_does():
+    # Zeros and the integers 1..9 of either sign are written as sign and
+    # digit; their neighbours and wider integers are not.
+    rng = np.random.default_rng(15)
+    flags = (rng.random((SPAN, 34)) < 0.5).astype(float)
+    _assert_span_matches(flags, 34)
+    digits = _signed(np.arange(10.0))
+    near = _signed(_ulp_neighbours(np.arange(1.0, 11.0), 3))
+    others = [0.5, 9.5, 10.0, 11.0, 1e-5, 5e-324, np.nan, np.inf, -np.inf]
+    mixed = rng.choice(np.concatenate([digits, near, others]), (3001, 5))
+    _assert_span_matches(mixed, 5)
+    _assert_span_matches(rng.choice(digits, (1000, 3)), 3)  # every value one digit
+
+
+def test_format_span_writes_sweep_rows_as_percent_does():
+    sigma_p, sigma_i = np.linspace(0.0, 40.0, 20), np.linspace(0.0, 40.0, 20)
+    abscissa = np.random.default_rng(16).standard_normal(400) * 10.0 ** np.repeat([-12.0, -3.0, 0.0, 1.0], 100)
+    abscissa[::7] = 0.0
+    rows = np.column_stack(
+        [np.repeat(sigma_p, 20), np.tile(sigma_i, 20), abscissa, abscissa < 0.0]
+    ).astype(float)
+    _assert_span_matches(rows, 4)
+
+
 def test_format_span_mixes_percent_blocks_with_vectorised_ones():
     # A span is formatted in blocks of rows. A block with no value in
     # 1e-5..1e15 that is not all zeros goes to one "%" call; the others are
@@ -411,8 +564,9 @@ def test_format_span_mixes_percent_blocks_with_vectorised_ones():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_to_full_device_exits_2(hetero8, capsys, monkeypatch, cpus):
-    # 5001 rows are three spans: with workers, a device is written through
-    # the staging file, and the first span copied out fails.
+    # 5001 rows are four even spans with two CPUs, the parent formatting
+    # two: a device is written through the staging file, and the first
+    # span written out fails.
     assert 5001 > 2 * SPAN
     _usable_cpus(monkeypatch, cpus)
     assert main(["simulate", hetero8, "--t-end", "5", "--out", "/dev/full"]) == 2

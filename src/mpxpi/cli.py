@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -256,16 +255,20 @@ def _format_worker(conn, parent_ends, fd: int, blocks: list[np.ndarray], spans: 
     # waiting for an offset sees end of file once the parent is gone.
     for end in parent_ends:
         end.close()
-    texts = (_format_span(_span_rows(blocks, start, stop)) for start, stop in spans)
+
+    def write(text):
+        _pwrite_all(fd, text, conn.recv())
+        conn.send(None)
+
     try:
-        previous = None
-        for text in itertools.chain(texts, [None]):
-            if text is not None:
-                conn.send(len(text))
+        previous = None  # written once the next span is formatted, so its offset is there
+        for start, stop in spans:
+            text = _format_span(_span_rows(blocks, start, stop))
+            conn.send(len(text))
             if previous is not None:
-                _pwrite_all(fd, previous, conn.recv())
-                conn.send(None)
+                write(previous)
             previous = text
+        write(previous)
     except (EOFError, ConnectionError):  # the parent died without ending the workers
         pass
     except OSError as exc:  # a failed write: the parent raises it in its place

@@ -302,7 +302,7 @@ def test_csv_spans_examples(monkeypatch):
 def _assert_same_text(got, want):
     # Name the first line that differs: a diff of megabytes of text is too slow.
     if got != want:
-        for number, (line, wanted) in enumerate(zip(got.splitlines(), want.splitlines())):
+        for number, (line, wanted) in enumerate(zip(got.split("\n"), want.split("\n"))):
             assert line == wanted, f"line {number}"
         assert len(got) == len(want)
 
@@ -336,16 +336,16 @@ def test_write_csv_split_gives_the_same_bytes_to_every_destination(tmp_path, mon
     want = _csv_by_value(["seed 9"], args[1], np.column_stack([times, states, flags]))
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), *args)
-    _assert_same_text(out.read_text(), want)
+    _assert_same_text(out.read_bytes().decode("ascii"), want)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli._write_csv(None, *args)
     _assert_same_text(buf.getvalue(), want)
-    _assert_same_text(_write_through_a_pipe(*args).decode(), want)
+    _assert_same_text(_write_through_a_pipe(*args).decode("ascii"), want)
     out.write_text("old\n")
     with open(out, "a") as fh, contextlib.redirect_stdout(fh):
         cli._write_csv(None, *args)
-    _assert_same_text(out.read_text(), "old\n" + want)
+    _assert_same_text(out.read_bytes().decode("ascii"), "old\n" + want)
     assert multiprocessing.active_children() == []
 
 

@@ -11,7 +11,9 @@ for each usable CPU, and formatted byte for byte as one process would by
 the parent and one forked worker for every other CPU: each process writes
 its spans into the output itself, at offsets the parent hands out in order,
 or, when the output is not a regular file, the workers write into a memory
-file that the parent copies out.
+file that the parent copies out. ``--out`` overwrites an existing regular
+file in place, without first truncating it, and cuts it at the end of the
+new CSV, or after the header when the write fails.
 """
 
 from __future__ import annotations
@@ -345,6 +347,18 @@ def _offset_writable(out) -> int | None:
     return None
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """``os.open`` for ``open(path, "w")`` without ``O_TRUNC``, with the mode "w" gives."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _cut_on_error(fd: int, header_end: int, exc_type, exc, tb) -> None:
+    """Cut a failed output after its header, so no byte of an older file is left."""
+    if exc_type is not None:
+        with contextlib.suppress(OSError):  # the write's own error is the one to report
+            os.ftruncate(fd, header_end)
+
+
 def _write_csv(path: str | None, header_lines: list[str], columns: list[str], *blocks) -> None:
     """Write the rows of the column ``blocks`` under a header, to ``path`` or standard output.
 
@@ -361,12 +375,22 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], *b
     worker writes into two slots of a memory file in turn, and the parent
     copies each span out in order once its worker says it is written,
     writing its own spans out directly.
+
+    A ``path`` that names an existing regular file is overwritten in place:
+    opened without ``O_TRUNC``, so its pages are not freed before anything
+    is formatted, and cut at the end of the new CSV once every span is
+    placed. When the write raises, the file is cut after the header once the
+    workers are gone, so no byte of the old file follows the new output.
+    Standard output and a ``path`` that is not a regular file are never cut.
     """
     blocks = [np.asarray(block) for block in blocks]
     n_rows = len(blocks[0])
     processes, spans = _csv_spans(n_rows)
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(open(path, "w")) if path is not None else sys.stdout
+        if path is None:
+            out = sys.stdout
+        else:  # opened as "w" opens it, but not truncated: old pages are overwritten in place
+            out = stack.enter_context(open(path, "w", opener=_open_in_place))
         out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
         fd = _offset_writable(out)
         staged = fd is None
@@ -374,6 +398,10 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], *b
         if not staged:
             out.flush()
             position = os.lseek(fd, 0, os.SEEK_CUR)
+        cut = path is not None and not staged
+        if cut:
+            # Pushed before the workers start, so it runs once they are gone.
+            stack.push(functools.partial(_cut_on_error, fd, position))
         conns = []
         if processes > 1:
             if staged:
@@ -408,6 +436,8 @@ def _write_csv(path: str | None, header_lines: list[str], columns: list[str], *b
             collect(last)
             if staged:
                 out.write(text.decode("ascii"))
+        if cut:  # every span is placed: cut what is left of an older, longer file
+            os.ftruncate(fd, position)
         collect(placed)
         if not staged:
             os.lseek(fd, position, os.SEEK_SET)  # pwrite leaves the file position where it was

@@ -108,15 +108,20 @@ def spectral_abscissa(mat: np.ndarray) -> np.floating | np.ndarray:
 
 def consensus_index(states: np.ndarray, n_nodes: int, state_dim: int) -> np.ndarray:
     """d_x per sample: Euclidean norm of (x - average over nodes)."""
-    arr = np.asarray(states, dtype=float).reshape(-1, n_nodes, state_dim)
+    # One C-contiguous copy of the rows, so the subtraction and the squares
+    # run over whole rows; the caller's array is never written.
+    dev = np.array(states, dtype=float, order="C").reshape(-1, n_nodes * state_dim)
     # The nodes summed in order, one state_dim slice each: the sum that
     # mean(axis=1) forms for state_dim >= 2, without its slow reduction over
     # a middle axis.
-    total = arr[:, 0].copy()
+    total = dev[:, :state_dim].copy()
     for node in range(1, n_nodes):
-        total += arr[:, node]
-    dev = arr - (total / n_nodes)[:, None, :]
-    return np.linalg.norm(dev.reshape(arr.shape[0], -1), axis=1)
+        total += dev[:, node * state_dim : (node + 1) * state_dim]
+    total /= n_nodes
+    # The squares and row sums of np.linalg.norm(dev, axis=1), in place.
+    dev -= np.tile(total, (1, n_nodes))
+    dev *= dev
+    return np.sqrt(np.add.reduce(dev, axis=1))
 
 
 def equilibrium(sys: MultiplexSystem) -> tuple[np.ndarray, np.ndarray]:

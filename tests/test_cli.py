@@ -165,6 +165,19 @@ def _csv_by_value(header_lines, columns, rows):
     )
 
 
+def _assert_same_text(got, want):
+    # Name the first line that differs: a diff of megabytes of text is too slow.
+    if got != want:
+        for number, (line, wanted) in enumerate(zip(got.split("\n"), want.split("\n"))):
+            assert line == wanted, f"line {number}"
+        assert len(got) == len(want)
+
+
+def _assert_same_bytes(got, want):
+    # latin-1 maps every byte to one character, so nothing is lost.
+    _assert_same_text(got.decode("latin-1"), want.decode("latin-1"))
+
+
 def _usable_cpus(monkeypatch, cpus):
     # The writer takes its worker count from the CPU affinity mask.
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -211,14 +224,14 @@ def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch
     want = _csv_by_value(["seed 9"], columns, rows)
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), ["seed 9"], columns, rows)
-    assert out.read_bytes() == want.encode()
+    _assert_same_bytes(out.read_bytes(), want.encode())
     capsys.readouterr()
     cli._write_csv(None, ["seed 9"], columns, rows)
-    assert capsys.readouterr().out == want
+    _assert_same_text(capsys.readouterr().out, want)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli._write_csv(None, ["seed 9"], columns, rows)
-    assert buf.getvalue() == want
+    _assert_same_text(buf.getvalue(), want)
     assert multiprocessing.active_children() == []
 
 
@@ -228,6 +241,7 @@ def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
     # A regular file takes the spans at offsets; one opened to append, where
     # pwrite would append, is staged. Text around the CSV stays in place.
     _usable_cpus(monkeypatch, cpus)
+    cuts = _count_truncations(monkeypatch)
     rows = _many_span_rows()
     columns = ["t", "a", "b", "c"]
     path = tmp_path / "stdout.csv"
@@ -237,7 +251,8 @@ def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
         cli._write_csv(None, ["seed 9"], columns, rows)
         print("after")
     want = "before\n" + _csv_by_value(["seed 9"], columns, rows) + "after\n"
-    assert path.read_text() == ("old\n" if mode == "a" else "") + want
+    _assert_same_text(path.read_text(), ("old\n" if mode == "a" else "") + want)
+    assert cuts == []  # standard output is never cut
     assert multiprocessing.active_children() == []
 
 
@@ -266,6 +281,113 @@ def test_simulate_exits_2_when_a_worker_write_fails(hetero8, tmp_path, capsys, m
     assert main(["simulate", hetero8, "--t-end", "5", *out]) == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [SPAN - 1, 3 * SPAN + 5])
+@pytest.mark.parametrize("old_size", ["longer", "same", "shorter"])
+def test_write_csv_overwrites_an_existing_file_in_place(tmp_path, monkeypatch, cpus, n_rows, old_size):
+    # The older file is written over where it lies and cut at the end of
+    # the new CSV: the result is what a fresh write gives.
+    _usable_cpus(monkeypatch, cpus)
+    rows = np.random.default_rng(n_rows).standard_normal((n_rows, 4))
+    args = (["seed 9"], ["t", "a", "b", "c"], rows)
+    fresh = tmp_path / "fresh.csv"
+    cli._write_csv(str(fresh), *args)
+    want = fresh.read_bytes()
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"~" * {"longer": len(want) + 4099, "same": len(want), "shorter": len(want) // 3}[old_size])
+    inode = out.stat().st_ino
+    cli._write_csv(str(out), *args)
+    _assert_same_bytes(out.read_bytes(), want)
+    assert out.stat().st_ino == inode
+    assert multiprocessing.active_children() == []
+
+
+def test_write_csv_creates_a_file_with_the_mode_open_gives(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        cli._write_csv(str(tmp_path / "new.csv"), [], ["a"], np.zeros(3))
+        open(tmp_path / "by_open.csv", "w").close()
+    finally:
+        os.umask(umask)
+    modes = [(tmp_path / name).stat().st_mode & 0o7777 for name in ("new.csv", "by_open.csv")]
+    assert modes == [0o640, 0o640]
+
+
+def _count_truncations(monkeypatch):
+    cuts, ftruncate = [], os.ftruncate
+
+    def counted(fd, length):
+        cuts.append(length)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(cli.os, "ftruncate", counted)
+    return cuts
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_to_dev_null_and_a_fifo_is_never_cut(hetero8, tmp_path, monkeypatch, cpus):
+    import threading
+
+    _usable_cpus(monkeypatch, cpus)
+    fresh = tmp_path / "t.csv"
+    assert main(["simulate", hetero8, "--t-end", "5", "--out", str(fresh)]) == 0
+    cuts = _count_truncations(monkeypatch)
+    assert main(["simulate", hetero8, "--t-end", "5", "--out", os.devnull]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            chunks.extend(iter(lambda: fh.read(1 << 16), b""))
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        code = main(["simulate", hetero8, "--t-end", "5", "--out", str(fifo)])
+    finally:
+        # A writer that opens and closes the FIFO releases a reader still waiting to open it.
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join()
+    assert code == 0
+    _assert_same_bytes(b"".join(chunks), fresh.read_bytes())
+    assert cuts == []
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_out_naming_a_directory_exits_2(hetero8, tmp_path, capsys):
+    assert main(["simulate", hetero8, "--t-end", "1", "--out", str(tmp_path)]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "Is a directory")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing", ["every", "second"])
+def test_failed_overwrite_leaves_no_old_byte_after_the_header(hetero8, tmp_path, capsys, monkeypatch, cpus, failing):
+    # An older file twice as long as the new CSV. Every span write fails,
+    # or each process's second one does (the forked workers inherit the
+    # patch and count their own calls); the file is cut after the header.
+    _usable_cpus(monkeypatch, cpus)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 0
+    header = b"".join(out.read_bytes().splitlines(keepends=True)[:3])
+    out.write_bytes(b"old\n" * (out.stat().st_size // 2))
+    pwrite, calls = os.pwrite, []
+
+    def no_space(fd, data, offset):
+        calls.append(offset)
+        if failing == "every" or len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(cli.os, "pwrite", no_space)
+    assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "No space left on device")
+    assert multiprocessing.active_children() == []
+    assert out.read_bytes() == header
 
 
 def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
@@ -297,14 +419,6 @@ def test_csv_spans_examples(monkeypatch):
     _usable_cpus(monkeypatch, 2)
     assert cli._csv_spans(5001) == (2, [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5001)])
     assert cli._csv_spans(4001) == (2, [(0, 2000), (2000, 4001)])
-
-
-def _assert_same_text(got, want):
-    # Name the first line that differs: a diff of megabytes of text is too slow.
-    if got != want:
-        for number, (line, wanted) in enumerate(zip(got.split("\n"), want.split("\n"))):
-            assert line == wanted, f"line {number}"
-        assert len(got) == len(want)
 
 
 def _write_through_a_pipe(*args):

@@ -304,14 +304,17 @@ def test_consensus_index_matches_the_mean_over_nodes(n_nodes, state_dim):
     # for state_dim = 1 numpy sums pairwise, so the bits may differ slightly.
     rng = np.random.default_rng(n_nodes * 10 + state_dim)
     samples = rng.standard_normal((500, 2 * n_nodes * state_dim)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
-    states = samples[:, : n_nodes * state_dim]  # strided, as simulate passes them
-    arr = states.reshape(-1, n_nodes, state_dim)
-    want = np.linalg.norm((arr - arr.mean(axis=1, keepdims=True)).reshape(len(arr), -1), axis=1)
-    got = consensus_index(states, n_nodes, state_dim)
-    if state_dim >= 2:
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+    strided = samples[:, : n_nodes * state_dim]  # as simulate passes them
+    for states in (strided, np.ascontiguousarray(strided)):
+        arr = states.reshape(-1, n_nodes, state_dim)
+        want = np.linalg.norm((arr - arr.mean(axis=1, keepdims=True)).reshape(len(arr), -1), axis=1)
+        before = states.copy()
+        got = consensus_index(states, n_nodes, state_dim)
+        assert states.tobytes() == before.tobytes()  # the caller's array is never written
+        if state_dim >= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
 
 
 def test_bias_shift_moves_consensus_not_deviations(demo8):

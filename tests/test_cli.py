@@ -183,6 +183,17 @@ def _usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def _count_truncations(monkeypatch):
+    cuts, ftruncate = [], os.ftruncate
+
+    def counted(fd, length):
+        cuts.append(length)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(cli.os, "ftruncate", counted)
+    return cuts
+
+
 SPAN = cli._CSV_CHUNK_ROWS
 
 
@@ -313,17 +324,6 @@ def test_write_csv_creates_a_file_with_the_mode_open_gives(tmp_path):
         os.umask(umask)
     modes = [(tmp_path / name).stat().st_mode & 0o7777 for name in ("new.csv", "by_open.csv")]
     assert modes == [0o640, 0o640]
-
-
-def _count_truncations(monkeypatch):
-    cuts, ftruncate = [], os.ftruncate
-
-    def counted(fd, length):
-        cuts.append(length)
-        ftruncate(fd, length)
-
-    monkeypatch.setattr(cli.os, "ftruncate", counted)
-    return cuts
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpxpi import cli, netspec
+from mpxpi import cli, csvio, netspec
 from mpxpi.cli import main
 from mpxpi.errors import SpecFormatError
 from mpxpi.sim import sweep
@@ -180,7 +180,7 @@ def _assert_same_bytes(got, want):
 
 def _usable_cpus(monkeypatch, cpus):
     # The writer takes its worker count from the CPU affinity mask.
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _count_truncations(monkeypatch):
@@ -190,11 +190,11 @@ def _count_truncations(monkeypatch):
         cuts.append(length)
         ftruncate(fd, length)
 
-    monkeypatch.setattr(cli.os, "ftruncate", counted)
+    monkeypatch.setattr(csvio.os, "ftruncate", counted)
     return cuts
 
 
-SPAN = cli._CSV_CHUNK_ROWS
+SPAN = csvio._CSV_CHUNK_ROWS
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(7, 5), (4 * SPAN + 3, 3), (1000, 4)])
@@ -207,7 +207,7 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows, n_cols):
         rows[:, 3] = rows[:, 2] < 0.0
     columns = [f"c{k}" for k in range(n_cols)]
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), ["seed 1", "dt 0.001"], columns, rows)
+    csvio.write_csv(str(out), ["seed 1", "dt 0.001"], columns, rows)
     assert out.read_bytes() == _csv_by_value(["seed 1", "dt 0.001"], columns, rows).encode()
 
 
@@ -217,7 +217,7 @@ def test_write_csv_matches_per_value_format_at_span_edges(tmp_path, monkeypatch,
     _usable_cpus(monkeypatch, cpus)
     rows = np.random.default_rng(n_rows).standard_normal((n_rows, 3)) * 1e3
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), [], ["a", "b", "c"], rows)
+    csvio.write_csv(str(out), [], ["a", "b", "c"], rows)
     assert out.read_bytes() == _csv_by_value([], ["a", "b", "c"], rows).encode()
 
 
@@ -234,14 +234,14 @@ def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch
     columns = ["t", "a", "b", "c"]
     want = _csv_by_value(["seed 9"], columns, rows)
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), ["seed 9"], columns, rows)
+    csvio.write_csv(str(out), ["seed 9"], columns, rows)
     _assert_same_bytes(out.read_bytes(), want.encode())
     capsys.readouterr()
-    cli._write_csv(None, ["seed 9"], columns, rows)
+    csvio.write_csv(None, ["seed 9"], columns, rows)
     _assert_same_text(capsys.readouterr().out, want)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._write_csv(None, ["seed 9"], columns, rows)
+        csvio.write_csv(None, ["seed 9"], columns, rows)
     _assert_same_text(buf.getvalue(), want)
     assert multiprocessing.active_children() == []
 
@@ -259,7 +259,7 @@ def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
     path.write_text("old\n")
     with open(path, mode) as fh, contextlib.redirect_stdout(fh):
         print("before")
-        cli._write_csv(None, ["seed 9"], columns, rows)
+        csvio.write_csv(None, ["seed 9"], columns, rows)
         print("after")
     want = "before\n" + _csv_by_value(["seed 9"], columns, rows) + "after\n"
     _assert_same_text(path.read_text(), ("old\n" if mode == "a" else "") + want)
@@ -287,7 +287,7 @@ def test_simulate_exits_2_when_a_worker_write_fails(hetero8, tmp_path, capsys, m
     def no_space(fd, data, offset):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cli.os, "pwrite", no_space)
+    monkeypatch.setattr(csvio.os, "pwrite", no_space)
     out = [] if to_stdout else ["--out", str(tmp_path / "t.csv")]
     assert main(["simulate", hetero8, "--t-end", "5", *out]) == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
@@ -304,12 +304,12 @@ def test_write_csv_overwrites_an_existing_file_in_place(tmp_path, monkeypatch, c
     rows = np.random.default_rng(n_rows).standard_normal((n_rows, 4))
     args = (["seed 9"], ["t", "a", "b", "c"], rows)
     fresh = tmp_path / "fresh.csv"
-    cli._write_csv(str(fresh), *args)
+    csvio.write_csv(str(fresh), *args)
     want = fresh.read_bytes()
     out = tmp_path / "out.csv"
     out.write_bytes(b"~" * {"longer": len(want) + 4099, "same": len(want), "shorter": len(want) // 3}[old_size])
     inode = out.stat().st_ino
-    cli._write_csv(str(out), *args)
+    csvio.write_csv(str(out), *args)
     _assert_same_bytes(out.read_bytes(), want)
     assert out.stat().st_ino == inode
     assert multiprocessing.active_children() == []
@@ -318,7 +318,7 @@ def test_write_csv_overwrites_an_existing_file_in_place(tmp_path, monkeypatch, c
 def test_write_csv_creates_a_file_with_the_mode_open_gives(tmp_path):
     umask = os.umask(0o027)
     try:
-        cli._write_csv(str(tmp_path / "new.csv"), [], ["a"], np.zeros(3))
+        csvio.write_csv(str(tmp_path / "new.csv"), [], ["a"], np.zeros(3))
         open(tmp_path / "by_open.csv", "w").close()
     finally:
         os.umask(umask)
@@ -383,7 +383,7 @@ def test_failed_overwrite_leaves_no_old_byte_after_the_header(hetero8, tmp_path,
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return pwrite(fd, data, offset)
 
-    monkeypatch.setattr(cli.os, "pwrite", no_space)
+    monkeypatch.setattr(csvio.os, "pwrite", no_space)
     assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
@@ -394,7 +394,7 @@ def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
     _usable_cpus(monkeypatch, 2)
     rows = _many_span_rows()
     alive = weakref.ref(rows)
-    cli._write_csv(str(tmp_path / "rows.csv"), [], ["t", "a", "b", "c"], rows)
+    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["t", "a", "b", "c"], rows)
     del rows
     assert alive() is None
 
@@ -406,7 +406,7 @@ SPLIT_ROWS = [1, SPAN - 1, SPAN, SPAN + 1, 4001, 5001, 5 * SPAN + 17]
 @pytest.mark.parametrize("n_rows", SPLIT_ROWS)
 def test_csv_spans_split_rows_evenly(monkeypatch, cpus, n_rows):
     _usable_cpus(monkeypatch, cpus)
-    processes, spans = cli._csv_spans(n_rows)
+    processes, spans = csvio._csv_spans(n_rows)
     assert processes == (cpus if n_rows > SPAN else 1)
     assert len(spans) % processes == 0
     assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
@@ -417,8 +417,8 @@ def test_csv_spans_split_rows_evenly(monkeypatch, cpus, n_rows):
 
 def test_csv_spans_examples(monkeypatch):
     _usable_cpus(monkeypatch, 2)
-    assert cli._csv_spans(5001) == (2, [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5001)])
-    assert cli._csv_spans(4001) == (2, [(0, 2000), (2000, 4001)])
+    assert csvio._csv_spans(5001) == (2, [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5001)])
+    assert csvio._csv_spans(4001) == (2, [(0, 2000), (2000, 4001)])
 
 
 def _write_through_a_pipe(*args):
@@ -431,7 +431,7 @@ def _write_through_a_pipe(*args):
     reader.start()
     try:
         with open(write_end, "w") as fh, contextlib.redirect_stdout(fh):
-            cli._write_csv(None, *args)
+            csvio.write_csv(None, *args)
     finally:
         reader.join()
         os.close(read_end)
@@ -449,16 +449,16 @@ def test_write_csv_split_gives_the_same_bytes_to_every_destination(tmp_path, mon
     args = (["seed 9"], ["t", "a", "b", "c", "f"], times, states, flags)
     want = _csv_by_value(["seed 9"], args[1], np.column_stack([times, states, flags]))
     out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), *args)
+    csvio.write_csv(str(out), *args)
     _assert_same_text(out.read_bytes().decode("ascii"), want)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._write_csv(None, *args)
+        csvio.write_csv(None, *args)
     _assert_same_text(buf.getvalue(), want)
     _assert_same_text(_write_through_a_pipe(*args).decode("ascii"), want)
     out.write_text("old\n")
     with open(out, "a") as fh, contextlib.redirect_stdout(fh):
-        cli._write_csv(None, *args)
+        csvio.write_csv(None, *args)
     _assert_same_text(out.read_bytes().decode("ascii"), "old\n" + want)
     assert multiprocessing.active_children() == []
 
@@ -483,7 +483,7 @@ def test_write_csv_forks_one_worker_per_cpu_but_one(tmp_path, monkeypatch, cpus,
     _usable_cpus(monkeypatch, cpus)
     started = _count_forks(monkeypatch)
     rows = np.random.default_rng(3).standard_normal((n_rows, 2))
-    cli._write_csv(str(tmp_path / "rows.csv"), [], ["a", "b"], rows)
+    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["a", "b"], rows)
     assert len(started) == workers
     assert (tmp_path / "rows.csv").read_text() == _csv_by_value([], ["a", "b"], rows)
     assert multiprocessing.active_children() == []
@@ -511,7 +511,7 @@ def test_simulate_exits_2_when_a_later_span_write_fails(
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return pwrite(fd, data, offset)
 
-    monkeypatch.setattr(cli.os, "pwrite", second_call_fails)
+    monkeypatch.setattr(csvio.os, "pwrite", second_call_fails)
     out = [] if to_stdout else ["--out", str(tmp_path / "t.csv")]
     assert main(["simulate", hetero8, "--t-end", "10", *out]) == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
@@ -527,7 +527,7 @@ def test_simulate_exits_2_when_a_later_span_write_fails(
 
 def _assert_span_matches(values, n_cols=1):
     rows = np.asarray(values, dtype=float).reshape(-1, n_cols)
-    got = cli._format_span(rows)
+    got = csvio._format_span(rows)
     want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
     if got != want:  # name the first value that differs
         for line, row in zip(got.splitlines(), rows):
@@ -600,7 +600,7 @@ def test_format_span_corrects_an_exponent_estimate_one_off(monkeypatch, shift):
     # Shifting log10 puts the estimate one off for many values, exact powers
     # of ten among them, in either direction.
     log10 = np.log10
-    monkeypatch.setattr(cli.np, "log10", lambda a: log10(a) + shift)
+    monkeypatch.setattr(csvio.np, "log10", lambda a: log10(a) + shift)
     rng = np.random.default_rng(34)
     spread = rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.uniform(-5.0, 15.0, 20_000)
     powers = [float(f"1e{p}") for p in range(-5, 16)]
@@ -635,8 +635,9 @@ def test_format_span_mixes_fast_and_per_value_paths_in_one_span():
 
 
 def test_format_span_writes_flag_and_one_digit_columns_as_percent_does():
-    # Zeros and the integers 1..9 of either sign are written as sign and
-    # digit; their neighbours and wider integers are not.
+    # 0/1 flag columns, and the integers 0..9 of either sign among their
+    # neighbours and wider integers: zeros go through "%", the rest through
+    # the vectorised path, in the same blocks.
     rng = np.random.default_rng(15)
     flags = (rng.random((SPAN, 34)) < 0.5).astype(float)
     _assert_span_matches(flags, 34)
@@ -659,18 +660,18 @@ def test_format_span_writes_sweep_rows_as_percent_does():
 
 
 def test_format_span_mixes_percent_blocks_with_vectorised_ones():
-    # A span is formatted in blocks of rows. A block with no value in
-    # 1e-5..1e15 that is not all zeros goes to one "%" call; the others are
-    # built as records. Alternate the two kinds, ending on a short block.
+    # A span is formatted in blocks of rows. Alternate blocks with no value
+    # in 1e-5..1e15, every value formatted by "%", and blocks with values
+    # for the vectorised path, ending on a short all-"%" block.
     n_cols = 5
-    step = cli._G17_BLOCK // n_cols
+    step = csvio._G17_BLOCK // n_cols
     rng = np.random.default_rng(13)
     scales = [1e-9, 1e20, 1.0, 1e-9, 0.0, 1e-9, 1e3, 1e300]
     blocks = [rng.standard_normal((step, n_cols)) * scale for scale in scales]
-    blocks[1][0, :3] = [np.nan, -np.inf, 5e-324]  # specials in a "%" block
-    blocks[3][::2] = 0.0  # zeros and tiny values: still one "%" call
-    blocks[4][1::3] = -0.0  # all zeros, both signs: records
-    blocks[5][7, 3] = 3.5  # one fast value among tiny ones: records
+    blocks[1][0, :3] = [np.nan, -np.inf, 5e-324]  # specials among huge values, all "%"
+    blocks[3][::2] = 0.0  # zeros and tiny values, all "%"
+    blocks[4][1::3] = -0.0  # all zeros, both signs, all "%"
+    blocks[5][7, 3] = 3.5  # one vectorised value among tiny ones
     rows = np.vstack(blocks + [rng.standard_normal((17, n_cols)) * 1e-200])
     _assert_span_matches(rows, n_cols)
 
@@ -900,6 +901,20 @@ def test_simulate_rejects_non_finite_x0_file(hetero8, tmp_path, capsys):
     assert main(["simulate", hetero8, "--t-end", "1.0", "--x0", str(x0), "--out", str(out)]) == 2
     _assert_clean_input_error(capsys.readouterr(), "x0 must be finite")
     assert not out.exists()
+
+
+def test_simulate_exits_2_when_the_trace_cannot_be_allocated(hetero8, capsys):
+    # 5e13 samples of 32 states are 11.4 PiB, more than any 64-bit address
+    # space holds: the allocation fails at once and nothing is allocated.
+    assert main(["simulate", hetero8, "--dt", "1e-12", "--out", os.devnull]) == 2
+    _assert_clean_input_error(capsys.readouterr(), "Unable to allocate")
+
+
+def test_power_demo_rejects_a_run_that_ends_before_control_switch_on(capsys):
+    assert main(["power-demo", "--t-end", "0.05"]) == 2
+    captured = capsys.readouterr()
+    _assert_clean_input_error(captured, "before the control switch-on at t = 0.1 s")
+    assert captured.out == ""
 
 
 def test_simulate_rejects_zero_record_every(hetero8, capsys):

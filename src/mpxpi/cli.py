@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -145,7 +146,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise SpecFormatError("bad-type", text, "expected start:stop:steps")
@@ -154,12 +155,21 @@ def _parse_grid(text: str) -> np.ndarray:
         raise SpecFormatError("bad-type", text, "steps must be >= 1")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise SpecFormatError("bad-type", text, "grid values must be finite and non-negative")
-    return np.linspace(start, stop, steps)
+    return start, stop, steps
 
 
 def _cmd_sweep(args) -> int:
     system, _ = netspec.parse_spec(args.spec)
-    result = sim_mod.sweep(system, _parse_grid(args.sigma_p), _parse_grid(args.sigma_i))
+    grids = _parse_grid(args.sigma_p), _parse_grid(args.sigma_i)
+    rows, cols = grids[0][2], grids[1][2]
+    try:  # refuse a grid whose abscissa alone cannot fit, before either axis is built
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        memory = 0
+    if 0 < memory < 8 * rows * cols:  # sysconf gives -1 for a value it does not know
+        raise MemoryError(f"a {rows} x {cols} sweep needs {8 * rows * cols / 2**30:.3g} GiB "
+                          f"for its abscissa alone, more than the {memory / 2**30:.3g} GiB of memory")
+    result = sim_mod.sweep(system, *(np.linspace(*grid) for grid in grids))
     sp, si = result.sigma_p, result.sigma_i
     csvio.write_csv(
         args.out,

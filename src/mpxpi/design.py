@@ -9,7 +9,9 @@ The pipeline mirrors how the certificates are meant to be used in practice:
       caller's job);
   S4  compute the certificates (mu, eta, rho), by default at the best anchor;
   S5  solve the coupling inequality for sigma_P on the fixed proportional
-      layer.
+      layer: in closed form where the coupling is linear in sigma_P (sigma = 0,
+      or a connected open-loop layer), else by one eigensolve of the merged
+      layer in the proportional layer's basis.
 
 S1, S2 and S4 are one gain-free evaluation of the report that
 :func:`mpxpi.stability.check_theorem` gives; S5 completes it at the cutoff.
@@ -26,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotApplicableError, TuningInfeasibleError
-from .graph import is_connected
+from .graph import is_connected, laplacian
+from .spectral import block_decompose, similarity_transform
 from .stability import (
     MultiplexSystem,
     StabilityReport,
@@ -93,7 +96,17 @@ def tune(
 
     if core.lambda2_p <= 0.0:
         raise NotApplicableError("proportional layer is disconnected; cannot solve for sigma_P")
-    sigma_p_min = max(0.0, core.threshold - work.sigma * core.lambda2_c) / core.lambda2_p
+    if work.sigma > 0.0 and not core._links.layer_c:
+        # The merged-layer coupling lambda_2(sigma L_C + sigma_P L_P) is not linear
+        # in sigma_P. It clears the threshold for sigma_P above lambda_max(W (thr I -
+        # sigma S_C) W), W = diag(lambda_2..lambda_N of L_P)^(-1/2), S_C = L_C in L_P's basis.
+        blocks = block_decompose(laplacian(work.layer_p))
+        s_c = similarity_transform(blocks, laplacian(work.layer_c))[1]
+        w = 1.0 / np.sqrt(blocks.eigenvalues[1:])
+        scaled = w[:, None] * (core.threshold * np.eye(w.size) - work.sigma * s_c) * w
+        sigma_p_min = max(0.0, float(np.linalg.eigvalsh(scaled)[-1]))
+    else:
+        sigma_p_min = max(0.0, core.threshold - work.sigma * core.lambda2_c) / core.lambda2_p
 
     certified = work.with_gains(sigma_p=sigma_p_min * (1.0 + _SLACK) if sigma_p_min > 0 else _SLACK)
     report = _with_gains(core, certified)

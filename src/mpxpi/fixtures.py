@@ -1,164 +1,37 @@
-"""Built-in demonstration networks.
-
-Two fixtures exercise every part of the library end to end and back the
-bundled network-spec files under ``mpxpi/data/``:
-
-* an 8-node network mixing oscillatory, stable and unstable two-dimensional
-  agents under ring-shaped proportional and integral layers;
-* a 16-bus grid with a path-shaped proportional control layer whose local
-  gains restore 60 Hz after a 600 kW load step.
-"""
+"""The demo networks, defined by the bundled specs ``mpxpi/data/hetero8.json``
+and ``grid16.json`` and loaded through :mod:`mpxpi.netspec`, plus the grid's
+load-step scenario (not network data)."""
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
+from pathlib import Path
 
-from .graph import LayerGraph, empty_graph, path_graph, ring_graph
+from .netspec import parse_power_spec, parse_spec
 from .power import PowerNetwork
-from .stability import MultiplexSystem, NodeDynamics
+from .stability import MultiplexSystem
 
-#: The three agent archetypes of the 8-node demo: a marginal oscillator, a
-#: damped node, and an unstable node.
-OSCILLATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
-STABLE = np.array([[-1.5, 0.0], [-1.0, -1.0]])
-UNSTABLE = np.array([[1.0, 1.0], [0.0, 0.5]])
+_DATA = Path(__file__).with_name("data")
 
-#: Archetype assignment and stacked biases of the demo network. Node 8 runs
-#: bias-free; several nodes are individually unstable, yet the averaged
-#: dynamics are invertible with a dissipative symmetric part, so consensus is
-#: achievable by gain choice alone.
-_DEMO_KINDS = (
-    OSCILLATOR, STABLE, OSCILLATOR, UNSTABLE, STABLE, UNSTABLE, STABLE, UNSTABLE,
-)
-_DEMO_BIAS = np.array(
-    [0, 10, 0, 30, 0, 1, 20, 0, 30, 30, 60, 10, -10, 40, 0, 0], dtype=float
-)
-
-
-def heterogeneous_ring_system(sigma_p: float = 19.3, sigma_i: float = 15.0) -> MultiplexSystem:
-    """The 8-node demo: decoupled open loop, unit-weight ring P and I layers.
-
-    At the default gains the sufficient conditions pass with a thin margin
-    (the certified cutoff is sigma_p ~ 19.26). Ring weights are fixed at 1
-    with the coupling strength carried entirely by the gains.
-    """
-    nodes = tuple(
-        NodeDynamics(kind, _DEMO_BIAS[2 * k:2 * k + 2])
-        for k, kind in enumerate(_DEMO_KINDS)
-    )
-    return MultiplexSystem(
-        nodes=nodes,
-        layer_c=empty_graph(8),
-        layer_p=ring_graph(8),
-        layer_i=ring_graph(8),
-        sigma=0.0,
-        sigma_p=sigma_p,
-        sigma_i=sigma_i,
-    )
-
-
-# ---------------------------------------------------------------------------
-# 16-bus grid
-# ---------------------------------------------------------------------------
-
-#: Damping groups (per-unit-ish), common inertia, and nominal injections in
-#: MW. Injections total 459 against total damping 7.65, so the uncontrolled
-#: grid idles at exactly 60 Hz.
-GRID_INERTIA = 0.2
-_GRID_DAMPING_GROUPS = {
-    0.5: (1, 4, 7, 8, 11, 14),
-    0.45: (2, 6, 9, 13, 15),
-    0.40: (3, 10, 12),
-    0.6: (5, 16),
-}
-_GRID_INJECTION = np.array(
-    [40, 30, 30, 22, 10, 20, 50, 35, 50, 20, 30, 25, 30, 20, 17, 30], dtype=float
-)
-
-#: Electrical topology: a meshed ring with six chords, every line at
-#: beta = 400 (2 kV nodal voltages, |Y| = 1e-4 S). The exact mesh only needs
-#: to be connected; the stability certificates do not depend on it.
-_GRID_LINES = tuple(
-    (i, i + 1) for i in range(1, 16)
-) + ((16, 1), (1, 5), (4, 9), (8, 13), (12, 16), (2, 11), (6, 14))
-GRID_LINE_WEIGHT = 400.0
-
-#: Buses carrying local frequency feedback in the demo scenario.
+#: Buses with local frequency feedback, and the load step: 600 kW shed, 0.2 MW
+#: at each of three buses, with the control switched on at 0.1 s.
 GRID_CONTROLLED_BUSES = (1, 3, 5, 8, 10, 14)
-
-#: Demo load step: 600 kW shed in total, 0.2 MW at each of three buses.
 GRID_DISTURBANCES = ((0.0, 4, -0.2), (0.0, 8, -0.2), (0.0, 10, -0.2))
 GRID_CONTROL_ON_TIME = 0.1
 
-#: Design targets realised by the gain profile. The average corrected rate
-#: (k_i - d_i/m averaged over buses) fixes the gain sum at 0.05, which is
-#: exactly what lands the post-step power balance back on 60 Hz; the other
-#: two targets shape the worst single bus and the heterogeneity spread that
-#: feed the coupling threshold.
-GRID_PSI11 = -2.3875
-GRID_THRESHOLD = 6.3991
-GRID_MAX_RATE = 2.0
 
-
-def _grid_damping() -> np.ndarray:
-    d = np.zeros(16)
-    for value, buses in _GRID_DAMPING_GROUPS.items():
-        for bus in buses:
-            d[bus - 1] = value
-    return d
-
-
-def _grid_gains() -> np.ndarray:
-    """Local gains realising the design targets on the six controlled buses.
-
-    In terms of corrected rates a_i = k_i - d_i/m: bus 3 carries the maximum
-    GRID_MAX_RATE, buses {1, 8, 10, 14} share one value c, and bus 5 absorbs
-    the remainder t. The sum target (from GRID_PSI11) makes t affine in c and
-    the sum-of-squares target (from GRID_THRESHOLD) then gives a quadratic in
-    c; the smaller-magnitude root keeps the shared gains mild. Among the
-    placements consistent with the targets, this one keeps the post-step
-    transient overshoot lowest (~59 mHz at sigma_p = 55).
-    """
-    dm = _grid_damping() / GRID_INERTIA
-    n = dm.size
-    free = [b for b in range(1, n + 1) if b not in GRID_CONTROLLED_BUSES]
-    free_sum = sum(dm[b - 1] for b in free)
-    free_sq = sum(dm[b - 1] ** 2 for b in free)
-
-    total = n * GRID_PSI11
-    total_sq = (GRID_THRESHOLD - GRID_MAX_RATE) * abs(total)
-    rest_sum = total + free_sum - GRID_MAX_RATE       # c-buses plus bus 5
-    rest_sq = total_sq - free_sq - GRID_MAX_RATE**2
-
-    disc = (8.0 * rest_sum) ** 2 - 80.0 * (rest_sum**2 - rest_sq)
-    c = (8.0 * rest_sum + np.sqrt(disc)) / 40.0
-    t = rest_sum - 4.0 * c
-
-    rates = np.zeros(n)
-    rates[3 - 1] = GRID_MAX_RATE
-    for bus in (1, 8, 10, 14):
-        rates[bus - 1] = c
-    rates[5 - 1] = t
-    k = rates + dm
-    for bus in free:
-        k[bus - 1] = 0.0
-    return k
+def heterogeneous_ring_system() -> MultiplexSystem:
+    """8 oscillatory, stable and unstable 2-D agents under unit-weight ring P
+    and I layers, at sigma_P = 19.3 and sigma_I = 15 (``.with_gains`` sets
+    others). Several nodes are unstable alone, but the averaged dynamics are
+    invertible and dissipative; the certified cutoff is sigma_P ~ 19.26."""
+    return parse_spec(_DATA / "hetero8.json")[0]
 
 
 def sixteen_bus_grid(sigma_p: float = 55.0) -> PowerNetwork:
-    """The 16-bus demo grid with its tuned local gains.
-
-    The proportional layer is a weight-200 path over the buses; at the
-    default sigma_p = 55 the coupling term sits far above the certified
-    cutoff (~0.833) and the post-step transient stays under 100 mHz.
-    """
-    electrical = LayerGraph(16, tuple((i, j, GRID_LINE_WEIGHT) for i, j in _GRID_LINES))
-    return PowerNetwork(
-        inertia=np.full(16, GRID_INERTIA),
-        damping=_grid_damping(),
-        local_gain=_grid_gains(),
-        injection=_GRID_INJECTION.copy(),
-        electrical=electrical,
-        p_layer=path_graph(16, 200.0),
-        sigma_p=sigma_p,
-    )
+    """The 16-bus grid. Injections total 459 against damping 7.65, so it idles
+    at 60 Hz. The local gains realise psi11 = -2.3875 (a gain sum of 0.05,
+    which restores 60 Hz after the load step), a largest corrected rate
+    k - d/m of 2.0 at bus 3, and threshold 6.3991. The P layer is a
+    weight-200 path; the certified cutoff, ~0.833, is far below sigma_p = 55."""
+    return dataclasses.replace(parse_power_spec(_DATA / "grid16.json"), sigma_p=sigma_p)

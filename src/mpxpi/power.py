@@ -29,7 +29,7 @@ from . import kernels
 from .errors import DimensionError, NoEquilibriumError, NotApplicableError
 from .graph import LayerGraph, algebraic_connectivity, is_connected, laplacian
 from .sim import consensus_index
-from .stability import MultiplexSystem, NodeDynamics
+from .stability import HURWITZ_TOL, MultiplexSystem, NodeDynamics
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,8 @@ def equilibrium_frequency(pn: PowerNetwork) -> float:
 class PowerReport:
     """Scalar certificates for grid synchronisation.
 
-    ``psi11`` is the average of k_i - d_i/m (must be negative);
+    ``psi11`` is the average of k_i - d_i/m (2 psi11 = eta must be below
+    -HURWITZ_TOL, as in condition (i) of the multiplex check);
     ``threshold`` bounds sigma_P * lambda_2(L_P) from below;
     ``sigma_p_min`` is that bound divided by lambda_2(L_P).
     """
@@ -165,7 +166,7 @@ def check_power(pn: PowerNetwork) -> PowerReport:
     a = pn.local_gain - pn.damping / m
     n = pn.n_nodes
     psi11 = float(a.mean())
-    condition_c1 = psi11 < 0.0
+    condition_c1 = 2.0 * psi11 < -HURWITZ_TOL  # eta = 2 psi11, as check_theorem tests it
     lam2_p = algebraic_connectivity(pn.p_layer)
     lam2_i = algebraic_connectivity(pn.electrical)
     if psi11 != 0.0:

@@ -221,6 +221,29 @@ def test_tuned_gain_is_sound():
     assert checked >= 10
 
 
+def test_tune_cutoff_in_projection_mode_with_open_loop_coupling(demo8):
+    # sigma > 0 on a disconnected open-loop layer: the merged-layer coupling
+    # lambda_2(sigma L_C + sigma_P L_P) is not linear in sigma_P, and the
+    # cutoff is the infimum that bisection on check_theorem finds.
+    path = LayerGraph(8, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)))
+    sys = dataclasses.replace(demo8, layer_c=path, sigma=5.0)
+    result = tune(sys, anchor=1)
+    assert result.report.mode == "projection"
+    assert result.feasible
+
+    def passes(sigma_p):
+        return check_theorem(sys.with_gains(sigma_p=sigma_p), anchor=1).passed
+
+    lo, hi = 0.0, 40.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    assert result.sigma_p_min == pytest.approx(hi, rel=1e-9)
+    assert result.sigma_p_min == pytest.approx(18.282491577561, rel=1e-11)
+    assert passes(result.sigma_p_min * (1.0 + 1e-6))
+    assert not passes(result.sigma_p_min * (1.0 - 1e-6))
+
+
 @pytest.mark.parametrize("anchor", [None, 3])
 def test_tune_evaluates_eta_and_rho_once(demo8, monkeypatch, anchor):
     calls = []

@@ -164,6 +164,22 @@ def test_check_power_agrees_with_multiplex_outside_threshold_band():
             agreements += 1
             assert power_report.passed == theorem_report.passed
     assert agreements >= 25
+    # psi11 within the Hurwitz tolerance of zero, on either side: condition
+    # c1 tests eta = 2 psi11 against the same tolerance as condition (i)
+    for psi11 in (-1e-10, 1e-10, -1e-9, 1e-9):
+        grid = PowerNetwork(
+            inertia=np.ones(2),
+            damping=np.ones(2),
+            local_gain=np.full(2, 1.0 + psi11),
+            injection=np.array([1.0, 2.0]),
+            electrical=path_graph(2),
+            p_layer=path_graph(2),
+            sigma_p=1.0,
+        )
+        power_report = check_power(grid)
+        assert power_report.condition_c1 == check_theorem(as_multiplex(grid)).condition_i
+        assert power_report.condition_c1 == (psi11 == -1e-9)
+        assert (power_report.omega_infinity is None) == (not power_report.condition_c1)
 
 
 # ---------------------------------------------------------------------------

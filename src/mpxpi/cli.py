@@ -122,10 +122,20 @@ def _resolve_x0(spec: str, size: int) -> tuple[np.ndarray, str]:
     return data, f"x0=file:{spec}"
 
 
+def _check_whole_steps(t_end: float, dt: float) -> None:
+    """Refuse a ``t_end`` that is no whole number of ``dt`` steps: the trace would end elsewhere."""
+    if 0.0 < dt < t_end < math.inf:  # anything else is left to the integrator's own check
+        end = round(t_end / dt) * dt
+        if abs(end - t_end) > 1e-9 * t_end:
+            raise ValueError(f"t_end={t_end:.12g} is not a whole number of dt={dt:.12g} steps; "
+                             f"the nearest whole-step end time is {end:.12g}")
+
+
 def _cmd_simulate(args) -> int:
     system, defaults = netspec.parse_spec(args.spec)
     t_end = args.t_end if args.t_end is not None else defaults.get("t_end", 50.0)
     dt = args.dt if args.dt is not None else defaults.get("dt", 1e-3)
+    _check_whole_steps(t_end, dt)
     size = system.n_nodes * system.state_dim
     x0_spec = args.x0
     if x0_spec is None:
@@ -210,6 +220,7 @@ def _cmd_power_demo(args) -> int:
     on_time = fixtures.GRID_CONTROL_ON_TIME
     if args.t_end < on_time:  # a NaN goes on to simulate_power, which rejects it
         raise ValueError(f"--t-end {args.t_end:g} ends before the control switch-on at t = {on_time:g} s")
+    _check_whole_steps(args.t_end, args.dt)
     grid = fixtures.sixteen_bus_grid(sigma_p=args.sigma_p)
     report = power_mod.check_power(grid)
     trace = power_mod.simulate_power(

@@ -4,12 +4,11 @@ Values are formatted in numpy a span of rows at a time, with exactly the
 bytes ``"%.17g" % x`` gives. A CSV of more than one span is split into
 near-equal spans, the same number for each usable CPU, and formatted byte
 for byte as one process would by the parent and one forked worker for every
-other CPU: each process writes its spans into the output itself, at offsets
-the parent hands out in order, or, when the output is not a regular file,
-the workers write into a memory file that the parent copies out. A path
-that names an existing regular file is overwritten in place, without first
-truncating it, and cut at the end of the new CSV, or after the header when
-the write fails.
+other CPU. Each process writes its own spans into the output with
+``os.write``, one process at a time in span order, through the file offset
+they all share; the parent hands the turn along. A path that names an
+existing regular file is overwritten in place, without first truncating it,
+and cut at the end of the new CSV, or after the header when the write fails.
 """
 
 from __future__ import annotations
@@ -204,41 +203,42 @@ def _span_rows(blocks: list[np.ndarray], start: int, stop: int) -> np.ndarray:
     return np.column_stack([block[start:stop] for block in blocks]).astype(float, copy=False)
 
 
-def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
-    view, done = memoryview(data), 0
-    while done < len(view):
-        done += os.pwrite(fd, view[done:], offset + done)
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` at the file offset of ``fd``, which the forked processes share."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _write_in_turn(conn, fd: int, text: bytes) -> bool:
+    """Wait for the turn, write ``text`` and hand the turn back; False if the write failed."""
+    conn.recv()
+    try:
+        _write_all(fd, text)
+    except OSError as exc:  # the parent raises it in its place
+        conn.send(exc)
+        return False
+    conn.send(None)
+    return True
 
 
 def _format_worker(conn, parent_ends, fd: int, blocks: list[np.ndarray], spans: list[tuple[int, int]]) -> None:
     # Ctrl-C reaches the whole process group; the writer ends the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # The parent's ends inherited at the fork: with them closed, a worker
-    # waiting for an offset sees end of file once the parent is gone.
+    # waiting for its turn sees end of file once the parent is gone.
     for end in parent_ends:
         end.close()
-
-    def write(text):
-        _pwrite_all(fd, text, conn.recv())
-        conn.send(None)
-
     try:
-        previous = None  # written once the next span is formatted, so its offset is there
+        previous = None  # written once the next span is formatted, so the turn finds it ready
         for start, stop in spans:
             text = _format_span(_span_rows(blocks, start, stop))
-            conn.send(len(text))
-            if previous is not None:
-                write(previous)
+            if previous is not None and not _write_in_turn(conn, fd, previous):
+                return
             previous = text
-        write(previous)
+        _write_in_turn(conn, fd, previous)
     except (EOFError, ConnectionError):  # the parent died without ending the workers
         pass
-    except OSError as exc:  # a failed write: the parent raises it in its place
-        conn.send(exc)
-        # Stay until the parent, which may still send an offset, ends the workers.
-        with contextlib.suppress(EOFError, ConnectionError):
-            while True:
-                conn.recv()
 
 
 @contextlib.contextmanager
@@ -246,16 +246,14 @@ def _span_workers(processes: int, fd: int, blocks: list[np.ndarray], spans: list
     """``processes - 1`` forked workers; the parent is the remaining process.
 
     Worker ``k`` (from 1) formats ``spans[k::processes]``, the parent
-    formats ``spans[::processes]`` itself. Yields one connection per worker.
-    A worker sends the length in bytes of each span it has formatted, and
-    formats its next span before it reads the offset for the last one, so it
-    never waits for the parent to finish a span of its own. Then it writes
-    that span's text into ``fd`` at the offset and sends None, or the
-    OSError of a failed write. On exit the workers are joined, after being
-    terminated if the body raised. Fork hands each worker the column blocks
-    and the open file without pickling them; the workers only stack and
-    format floats and write bytes, so they take no lock that another thread
-    of the parent may have held at the fork.
+    ``spans[::processes]``. Yields one connection per worker. A worker
+    formats its next span before it waits for the turn to write the last
+    one; given the turn, it writes that span into ``fd`` and sends None, or
+    the OSError of a failed write. On exit the workers are joined, after
+    being terminated if the body raised. Fork hands each worker the column
+    blocks and the open file, with its offset, without pickling them; the
+    workers only stack and format floats and write bytes, so they take no
+    lock that another thread of the parent may have held at the fork.
     """
     import multiprocessing
 
@@ -282,31 +280,6 @@ def _span_workers(processes: int, fd: int, blocks: list[np.ndarray], spans: list
             proc.join()
 
 
-def _receive(conn):
-    """The next message from a worker; a failed write is raised here."""
-    message = conn.recv()
-    if isinstance(message, OSError):
-        raise message
-    return message
-
-
-def _offset_writable(out) -> int | None:
-    """The descriptor of ``out`` if it is a regular file whose writes go where they are asked to.
-
-    Pipes, terminals, devices, streams with no descriptor and files opened
-    to append (where ``pwrite`` appends) give None.
-    """
-    import fcntl
-
-    try:
-        fd = out.fileno()
-    except (AttributeError, OSError, ValueError):  # a replaced sys.stdout, or a closed one
-        return None
-    if stat.S_ISREG(os.fstat(fd).st_mode) and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
-        return fd
-    return None
-
-
 def _open_in_place(path: str, flags: int) -> int:
     """``os.open`` for ``open(path, "w")`` without ``O_TRUNC``, with the mode "w" gives."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
@@ -328,76 +301,62 @@ def write_csv(path: str | None, header_lines: list[str], columns: list[str], *bl
     With more than ``_CSV_CHUNK_ROWS`` rows, ``_csv_spans`` splits them
     into near-equal spans, the same number for each usable CPU, and
     ``_span_workers`` forks a worker for every CPU but one; the parent
-    formats the first span of every round of spans itself. Each process
-    writes its spans into the output at offsets the parent hands out in
-    span order, and the parent holds one span of text at a time. Output
-    that is not a regular file (or is opened to append) is staged: each
-    worker writes into two slots of a memory file in turn, and the parent
-    copies each span out in order once its worker says it is written,
-    writing its own spans out directly.
+    formats the first span of every round itself. Every process writes its
+    own spans with ``os.write`` through the file offset they share, in span
+    order, the parent handing the turn along: files, files opened to
+    append, pipes, FIFOs and devices alike. A stream with no descriptor (a
+    replaced ``sys.stdout``) is written by the parent alone.
 
     A ``path`` that names an existing regular file is overwritten in place:
     opened without ``O_TRUNC``, so its pages are not freed before anything
-    is formatted, and cut at the end of the new CSV once every span is
-    placed. When the write raises, the file is cut after the header once the
-    workers are gone, so no byte of the old file follows the new output.
-    Standard output and a ``path`` that is not a regular file are never cut.
+    is formatted, and cut at the end of the new CSV. When the write raises,
+    the file is cut after the header once the workers are gone, so no byte
+    of the old file follows the new output. Standard output and a ``path``
+    that is not a regular file are never cut.
     """
     blocks = [np.asarray(block) for block in blocks]
-    n_rows = len(blocks[0])
-    processes, spans = _csv_spans(n_rows)
+    processes, spans = _csv_spans(len(blocks[0]))
     with contextlib.ExitStack() as stack:
         if path is None:
             out = sys.stdout
         else:  # opened as "w" opens it, but not truncated: old pages are overwritten in place
             out = stack.enter_context(open(path, "w", opener=_open_in_place))
         out.write("".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n")
-        fd = _offset_writable(out)
-        staged = fd is None
-        position = 0
-        if not staged:
-            out.flush()
-            position = os.lseek(fd, 0, os.SEEK_CUR)
-        cut = path is not None and not staged
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError, ValueError):  # a replaced sys.stdout, or a closed one
+            fd = None
+        if fd is None:  # no descriptor to share: the parent writes every span to the stream
+            for start, stop in spans:
+                out.write(_format_span(_span_rows(blocks, start, stop)).decode("ascii"))
+            return
+        out.flush()
+        cut = path is not None and stat.S_ISREG(os.fstat(fd).st_mode)
         if cut:
             # Pushed before the workers start, so it runs once they are gone.
-            stack.push(functools.partial(_cut_on_error, fd, position))
+            stack.push(functools.partial(_cut_on_error, fd, os.lseek(fd, 0, os.SEEK_CUR)))
         conns = []
         if processes > 1:
-            if staged:
-                fd = os.memfd_create("mpxpi-csv")
-                stack.callback(os.close, fd)
-                # A value and its separator take at most 25 bytes.
-                slot = _CSV_CHUNK_ROWS * sum(block.size for block in blocks) // n_rows * 25
             _g17_tables()  # built before the fork, so each worker inherits them
             conns = stack.enter_context(_span_workers(processes, fd, blocks, spans))
 
-        def collect(placed):
-            # Each worker's word that its span is written; staged spans go out in order.
-            for conn, (offset, length) in zip(conns, placed):
-                _receive(conn)
-                if staged:
-                    out.write(os.pread(fd, length, offset).decode("ascii"))
+        def finish_round():
+            # Worker 1 has the turn since the parent wrote its span, each later
+            # worker once the one before is done; a failed write raises here.
+            for k, conn in enumerate(conns, 1):
+                error = conn.recv()
+                if error is not None:
+                    raise error
+                if k < len(conns):
+                    conns[k].send(None)
 
-        placed = []
         for m, (start, stop) in enumerate(spans[::processes]):
             text = _format_span(_span_rows(blocks, start, stop))
-            at, position = position, position + len(text)
-            last, placed = placed, []
-            for k, conn in enumerate(conns):  # the spans after the parent's, in order
-                length = _receive(conn)
-                # A staged span's slot was copied out in the round before.
-                offset = (2 * k + m % 2) * slot if staged else position
-                conn.send(offset)
-                placed.append((offset, length))
-                position += length
-            if not staged:
-                _pwrite_all(fd, text, at)
-            collect(last)
-            if staged:
-                out.write(text.decode("ascii"))
-        if cut:  # every span is placed: cut what is left of an older, longer file
-            os.ftruncate(fd, position)
-        collect(placed)
-        if not staged:
-            os.lseek(fd, position, os.SEEK_SET)  # pwrite leaves the file position where it was
+            if m:
+                finish_round()
+            _write_all(fd, text)
+            if conns:  # worker 1 writes while the parent formats its next span
+                conns[0].send(None)
+        finish_round()
+        if cut:  # every span is written: cut what is left of an older, longer file
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))

@@ -244,8 +244,9 @@ def simulate_power(
 
     Event and switch times are snapped to the recording grid
     (``record_every * dt``), which keeps the returned samples uniformly
-    spaced. Divergent runs are truncated and flagged, as in
-    :func:`mpxpi.sim.simulate`.
+    spaced. ``t_end`` is rounded to a whole number of steps, as in
+    :func:`mpxpi.sim.simulate`, and divergent runs are truncated and
+    flagged as there.
     """
     if not 0.0 < dt < t_end < np.inf:
         raise ValueError("need finite 0 < dt < t_end")

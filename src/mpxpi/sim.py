@@ -238,7 +238,8 @@ def simulate(
     z(0) = 0 is structural (z is a running integral from time zero) and makes
     the per-node integral states sum to zero along the whole trace; arbitrary
     z0 is therefore not accepted. ``record_every`` thins the stored samples
-    without affecting the integration step.
+    without affecting the integration step. ``t_end`` is rounded to a whole
+    number of steps, so the trace ends at ``round(t_end / dt) * dt``.
     """
     if not 0.0 < dt < t_end < np.inf:
         raise ValueError("need finite 0 < dt < t_end")
@@ -291,8 +292,8 @@ def sweep(sys: MultiplexSystem, sigma_p_grid, sigma_i_grid) -> SweepResult:
     Each sigma_P row is one stack of error matrices, one per sigma_I, formed
     from the pencil as ``error_system`` forms one (so bit for bit the same)
     and solved by one batched eigenvalue call. A cell whose matrix overflows
-    holds NaN and classifies as not stable. Grids must be non-empty, finite
-    and non-negative, else ValueError.
+    holds NaN and classifies as not stable. Grids must be one-dimensional,
+    non-empty, finite and non-negative, else ValueError.
 
     The rows are spread over all usable CPUs, each thread solving every
     W-th row, when the matrices are small enough that LAPACK stays on one
@@ -301,11 +302,12 @@ def sweep(sys: MultiplexSystem, sigma_p_grid, sigma_i_grid) -> SweepResult:
     it. Otherwise, or with one row or one CPU, the calling thread solves
     every row. Either way each row, and so each cell, has the same bits.
     """
-    sp = np.asarray(list(sigma_p_grid), dtype=float)
-    si = np.asarray(list(sigma_i_grid), dtype=float)
+    # An array is converted as it is; any other iterable (a generator too) through a list.
+    sp, si = (np.asarray(grid if isinstance(grid, np.ndarray) else list(grid), dtype=float)
+              for grid in (sigma_p_grid, sigma_i_grid))
     for name, grid in (("sigma_p", sp), ("sigma_i", si)):
-        if grid.size == 0:
-            raise ValueError("gain grids must be non-empty")
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError("gain grids must be non-empty and one-dimensional")
         if not (np.isfinite(grid).all() and (grid >= 0.0).all()):
             raise ValueError(f"{name} grid values must be finite and non-negative")
 

@@ -1,7 +1,11 @@
+import contextlib
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from mpxpi import fixtures
+from mpxpi import csvio, fixtures
 from mpxpi.graph import LayerGraph
 from mpxpi.stability import MultiplexSystem, NodeDynamics
 
@@ -59,3 +63,35 @@ def random_system(
         sigma_p=float(rng.uniform(0.0, 3.0)),
         sigma_i=float(rng.uniform(0.1, 3.0)),
     )
+
+
+_SPAN = csvio._CSV_CHUNK_ROWS
+# Row counts around the CSV writer's span size and its multiples.
+SPLIT_ROWS = [1, _SPAN - 1, _SPAN, _SPAN + 1, 4001, 5001, 5 * _SPAN + 17]
+
+
+def _usable_cpus(monkeypatch, cpus):
+    # The writer takes its worker count from the CPU affinity mask.
+    monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _csv_by_value(header_lines, columns, rows):
+    return "".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows
+    )
+
+
+@contextlib.contextmanager
+def _stdout_to_a_pipe():
+    """Standard output redirected to a real pipe; yields the list of bytes read from it."""
+    # A reader thread drains the pipe, so the writer never blocks on a full one.
+    read_end, write_end = os.pipe()
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.extend(iter(lambda: os.read(read_end, 1 << 16), b"")))
+    reader.start()
+    try:
+        with open(write_end, "w") as fh, contextlib.redirect_stdout(fh):
+            yield chunks
+    finally:
+        reader.join()
+        os.close(read_end)

@@ -21,6 +21,8 @@ from mpxpi.cli import main
 from mpxpi.errors import SpecFormatError
 from mpxpi.sim import sweep
 
+from conftest import SPLIT_ROWS, _csv_by_value, _stdout_to_a_pipe, _usable_cpus
+
 
 def _bundled(name: str) -> str:
     return str(resources.files("mpxpi.data").joinpath(name))
@@ -154,12 +156,6 @@ def test_sweep_rows_match_per_cell_layout(hetero8, tmp_path):
     assert out.read_text().splitlines()[2:] == expected
 
 
-def _csv_by_value(header_lines, columns, rows):
-    return "".join(f"# {h}\n" for h in header_lines) + ",".join(columns) + "\n" + "".join(
-        ",".join("%.17g" % v for v in row) + "\n" for row in rows
-    )
-
-
 def _assert_same_text(got, want):
     # Name the first line that differs: a diff of megabytes of text is too slow.
     if got != want:
@@ -171,11 +167,6 @@ def _assert_same_text(got, want):
 def _assert_same_bytes(got, want):
     # latin-1 maps every byte to one character, so nothing is lost.
     _assert_same_text(got.decode("latin-1"), want.decode("latin-1"))
-
-
-def _usable_cpus(monkeypatch, cpus):
-    # The writer takes its worker count from the CPU affinity mask.
-    monkeypatch.setattr(csvio.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _count_truncations(monkeypatch):
@@ -244,8 +235,8 @@ def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["w", "a"])
 def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
-    # A regular file takes the spans at offsets; one opened to append, where
-    # pwrite would append, is staged. Text around the CSV stays in place.
+    # A file opened to write or to append takes the spans through its file
+    # offset, as a --out file does. Text around the CSV stays in place.
     _usable_cpus(monkeypatch, cpus)
     cuts = _count_truncations(monkeypatch)
     rows = _many_span_rows()
@@ -264,7 +255,7 @@ def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="needs 2 CPUs")
 def test_simulate_to_a_pipe_writes_the_file_bytes(hetero8, tmp_path):
-    # Standard output that is a pipe goes through the staging file.
+    # Standard output that is a pipe takes the spans in turn, as a file does.
     out = tmp_path / "t.csv"
     assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 0
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -276,15 +267,18 @@ def test_simulate_to_a_pipe_writes_the_file_bytes(hetero8, tmp_path):
 
 @pytest.mark.parametrize("to_stdout", [False, True])
 def test_simulate_exits_2_when_a_worker_write_fails(hetero8, tmp_path, capsys, monkeypatch, to_stdout):
-    # The forked workers inherit the patch: every span write fails.
+    # The forked workers inherit the patch: every span write fails. Standard
+    # output is a real pipe here, so the workers write into it as into a file.
     _usable_cpus(monkeypatch, 2)
 
-    def no_space(fd, data, offset):
+    def no_space(fd, data):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(csvio.os, "pwrite", no_space)
+    monkeypatch.setattr(csvio, "_write_all", no_space)
     out = [] if to_stdout else ["--out", str(tmp_path / "t.csv")]
-    assert main(["simulate", hetero8, "--t-end", "5", *out]) == 2
+    with _stdout_to_a_pipe() if to_stdout else contextlib.nullcontext():
+        code = main(["simulate", hetero8, "--t-end", "5", *out])
+    assert code == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
 
@@ -370,15 +364,15 @@ def test_failed_overwrite_leaves_no_old_byte_after_the_header(hetero8, tmp_path,
     assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 0
     header = b"".join(out.read_bytes().splitlines(keepends=True)[:3])
     out.write_bytes(b"old\n" * (out.stat().st_size // 2))
-    pwrite, calls = os.pwrite, []
+    write_all, calls = csvio._write_all, []
 
-    def no_space(fd, data, offset):
-        calls.append(offset)
+    def no_space(fd, data):
+        calls.append(len(data))
         if failing == "every" or len(calls) == 2:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return pwrite(fd, data, offset)
+        return write_all(fd, data)
 
-    monkeypatch.setattr(csvio.os, "pwrite", no_space)
+    monkeypatch.setattr(csvio, "_write_all", no_space)
     assert main(["simulate", hetero8, "--t-end", "5", "--out", str(out)]) == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
@@ -394,42 +388,9 @@ def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
     assert alive() is None
 
 
-SPLIT_ROWS = [1, SPAN - 1, SPAN, SPAN + 1, 4001, 5001, 5 * SPAN + 17]
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("n_rows", SPLIT_ROWS)
-def test_csv_spans_split_rows_evenly(monkeypatch, cpus, n_rows):
-    _usable_cpus(monkeypatch, cpus)
-    processes, spans = csvio._csv_spans(n_rows)
-    assert processes == (cpus if n_rows > SPAN else 1)
-    assert len(spans) % processes == 0
-    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
-    assert spans[-1][1] == n_rows
-    sizes = [stop - start for start, stop in spans]
-    assert max(sizes) <= SPAN and max(sizes) - min(sizes) <= 1
-
-
-def test_csv_spans_examples(monkeypatch):
-    _usable_cpus(monkeypatch, 2)
-    assert csvio._csv_spans(5001) == (2, [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5001)])
-    assert csvio._csv_spans(4001) == (2, [(0, 2000), (2000, 4001)])
-
-
 def _write_through_a_pipe(*args):
-    # A reader thread drains the pipe, so the writer never blocks on a full one.
-    import threading
-
-    read_end, write_end = os.pipe()
-    chunks = []
-    reader = threading.Thread(target=lambda: chunks.extend(iter(lambda: os.read(read_end, 1 << 16), b"")))
-    reader.start()
-    try:
-        with open(write_end, "w") as fh, contextlib.redirect_stdout(fh):
-            csvio.write_csv(None, *args)
-    finally:
-        reader.join()
-        os.close(read_end)
+    with _stdout_to_a_pipe() as chunks:
+        csvio.write_csv(None, *args)
     return b"".join(chunks)
 
 
@@ -458,32 +419,6 @@ def test_write_csv_split_gives_the_same_bytes_to_every_destination(tmp_path, mon
     assert multiprocessing.active_children() == []
 
 
-def _count_forks(monkeypatch):
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counted(proc):
-        started.append(proc)
-        start(proc)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
-    return started
-
-
-@pytest.mark.parametrize(
-    "cpus, n_rows, workers",
-    [(1, 3 * SPAN + 5, 0), (2, 3 * SPAN + 5, 1), (3, 3 * SPAN + 5, 2), (3, SPAN, 0), (2, 1, 0)],
-)
-def test_write_csv_forks_one_worker_per_cpu_but_one(tmp_path, monkeypatch, cpus, n_rows, workers):
-    _usable_cpus(monkeypatch, cpus)
-    started = _count_forks(monkeypatch)
-    rows = np.random.default_rng(3).standard_normal((n_rows, 2))
-    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["a", "b"], rows)
-    assert len(started) == workers
-    assert (tmp_path / "rows.csv").read_text() == _csv_by_value([], ["a", "b"], rows)
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize(
     "to_stdout, failing", [(False, "every"), (False, "parent"), (False, "workers"), (True, "every")]
@@ -493,22 +428,23 @@ def test_simulate_exits_2_when_a_later_span_write_fails(
 ):
     # Each process's first span write succeeds and its second fails: in
     # every process, in the parent only or in the workers only. 10001 rows
-    # are at least two spans for each process. Staged output (standard
-    # output here) is pwritten by the workers only, as the parent writes
-    # its own spans to the stream.
+    # are at least two spans for each process. Standard output is a pipe
+    # here, which every process writes in turn as it writes a file.
     _usable_cpus(monkeypatch, cpus)
-    parent, pwrite, calls = os.getpid(), os.pwrite, {}
+    parent, write_all, calls = os.getpid(), csvio._write_all, {}
 
-    def second_call_fails(fd, data, offset):
+    def second_call_fails(fd, data):
         pid = os.getpid()
         calls[pid] = calls.get(pid, 0) + 1
         if calls[pid] == 2 and failing in ("every", "parent" if pid == parent else "workers"):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return pwrite(fd, data, offset)
+        return write_all(fd, data)
 
-    monkeypatch.setattr(csvio.os, "pwrite", second_call_fails)
+    monkeypatch.setattr(csvio, "_write_all", second_call_fails)
     out = [] if to_stdout else ["--out", str(tmp_path / "t.csv")]
-    assert main(["simulate", hetero8, "--t-end", "10", *out]) == 2
+    with _stdout_to_a_pipe() if to_stdout else contextlib.nullcontext():
+        code = main(["simulate", hetero8, "--t-end", "10", *out])
+    assert code == 2
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
     if failing == "parent":
@@ -519,7 +455,7 @@ def test_simulate_exits_2_when_a_later_span_write_fails(
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_simulate_to_full_device_exits_2(hetero8, capsys, monkeypatch, cpus):
     # 5001 rows are four even spans with two CPUs, the parent formatting
-    # two: a device is written through the staging file, and the first
+    # two: a device takes the spans in turn as a file does, and the first
     # span written out fails.
     assert 5001 > 2 * SPAN
     _usable_cpus(monkeypatch, cpus)
@@ -780,6 +716,28 @@ def test_simulate_rejects_zero_record_every(hetero8, capsys):
 def test_power_demo_rejects_zero_record_every(capsys):
     assert main(["power-demo", "--t-end", "0.1", "--record-every", "0"]) == 2
     assert "record_every must be a positive divisor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt, end", [("0.4", "0.8"), ("0.3", "0.9"), ("0.003", "0.999")])
+@pytest.mark.parametrize("command", ["simulate", "power-demo"])
+def test_t_end_that_is_no_whole_number_of_steps_exits_2(hetero8, tmp_path, capsys, command, dt, end):
+    # The trace would end at the nearest whole step while the header said --t-end 1.
+    spec = [hetero8] if command == "simulate" else []
+    argv = [command, *spec, "--t-end", "1", "--dt", dt, "--record-every", "1", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    _assert_clean_input_error(capsys.readouterr(), f"the nearest whole-step end time is {end}")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, t_end, dt, every", [("simulate", "50", "0.001", "1000"), ("power-demo", "0.3", "2e-5", "100")]
+)
+def test_t_end_of_whole_steps_runs(hetero8, tmp_path, command, t_end, dt, every):
+    # 50 / 0.001 and 0.3 / 2e-5 are whole numbers of steps up to rounding.
+    spec = [hetero8] if command == "simulate" else []
+    out = tmp_path / "t.csv"
+    assert main([command, *spec, "--t-end", t_end, "--dt", dt, "--record-every", every, "--out", str(out)]) == 0
+    assert float(out.read_text().splitlines()[-1].split(",")[0]) == pytest.approx(float(t_end))
 
 
 def test_csv_format_option(hetero8, capsys):

@@ -1,6 +1,10 @@
-"""The span formatter of mpxpi.csvio against "%.17g" % x, value by value."""
+"""mpxpi.csvio: the span formatter against "%.17g" % x, value by value, and
+the writer's split of rows into spans and processes."""
 
+import contextlib
+import io
 import math
+import multiprocessing
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpxpi import csvio
+
+from conftest import SPLIT_ROWS, _csv_by_value, _stdout_to_a_pipe, _usable_cpus
 
 SPAN = csvio._CSV_CHUNK_ROWS
 
@@ -163,3 +169,72 @@ def test_format_span_mixes_percent_blocks_with_vectorised_ones():
     blocks[5][7, 3] = 3.5  # one vectorised value among tiny ones
     rows = np.vstack(blocks + [rng.standard_normal((17, n_cols)) * 1e-200])
     _assert_span_matches(rows, n_cols)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", SPLIT_ROWS)
+def test_csv_spans_split_rows_evenly(monkeypatch, cpus, n_rows):
+    _usable_cpus(monkeypatch, cpus)
+    processes, spans = csvio._csv_spans(n_rows)
+    assert processes == (cpus if n_rows > SPAN else 1)
+    assert len(spans) % processes == 0
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+    assert spans[-1][1] == n_rows
+    sizes = [stop - start for start, stop in spans]
+    assert max(sizes) <= SPAN and max(sizes) - min(sizes) <= 1
+
+
+def test_csv_spans_examples(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    assert csvio._csv_spans(5001) == (2, [(0, 1250), (1250, 2500), (2500, 3750), (3750, 5001)])
+    assert csvio._csv_spans(4001) == (2, [(0, 2000), (2000, 4001)])
+
+
+def _count_forks(monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize(
+    "cpus, n_rows, workers",
+    [(1, 3 * SPAN + 5, 0), (2, 3 * SPAN + 5, 1), (3, 3 * SPAN + 5, 2), (3, SPAN, 0), (2, 1, 0)],
+)
+def test_write_csv_forks_one_worker_per_cpu_but_one(tmp_path, monkeypatch, cpus, n_rows, workers):
+    _usable_cpus(monkeypatch, cpus)
+    started = _count_forks(monkeypatch)
+    rows = np.random.default_rng(3).standard_normal((n_rows, 2))
+    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["a", "b"], rows)
+    assert len(started) == workers
+    assert (tmp_path / "rows.csv").read_text() == _csv_by_value([], ["a", "b"], rows)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_to_a_stream_with_no_descriptor_forks_no_worker(tmp_path, monkeypatch, cpus):
+    # A replaced sys.stdout has no descriptor to write spans in turn into:
+    # the parent formats and writes every span, with the bytes a file gets.
+    # A pipe has one, and takes the spans from every process.
+    _usable_cpus(monkeypatch, cpus)
+    started = _count_forks(monkeypatch)
+    rows = np.random.default_rng(4).standard_normal((3 * SPAN + 5, 3))
+    args = (["seed 4"], ["a", "b", "c"], rows)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        csvio.write_csv(None, *args)
+    assert started == []
+    csvio.write_csv(str(tmp_path / "rows.csv"), *args)
+    assert buf.getvalue().encode() == (tmp_path / "rows.csv").read_bytes()
+    assert buf.getvalue() == _csv_by_value(*args)
+    del started[:]
+    with _stdout_to_a_pipe() as chunks:
+        csvio.write_csv(None, *args)
+    assert len(started) == cpus - 1
+    assert b"".join(chunks).decode() == buf.getvalue()
+    assert multiprocessing.active_children() == []

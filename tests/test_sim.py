@@ -374,16 +374,20 @@ def _usable_cpus(monkeypatch, cpus):
 
 
 def _solver_threads(monkeypatch):
-    """Idents of the threads that solve sweep rows, one entry per row."""
-    idents = []
+    """The threads that solve sweep rows, one entry per row.
+
+    Thread objects, not idents: a thread that has finished may hand its
+    ident to one started after it.
+    """
+    solvers = []
     solve = sim.spectral_abscissa
 
     def spy(mats):
-        idents.append(threading.get_ident())
+        solvers.append(threading.current_thread())
         return solve(mats)
 
     monkeypatch.setattr(sim, "spectral_abscissa", spy)
-    return idents
+    return solvers
 
 
 # 18 sigma_I columns of the 30x30 demo8 matrices: a stack that numpy solves
@@ -392,12 +396,12 @@ WIDE_SIGMA_I = np.linspace(1.0, 20.0, 18)
 
 
 def test_sweep_matches_error_system(error_case, monkeypatch):
-    idents = _solver_threads(monkeypatch)
+    solvers = _solver_threads(monkeypatch)
     for cpus in (1, 2, 3):
         _usable_cpus(monkeypatch, cpus)
-        idents.clear()
+        solvers.clear()
         result = sweep(error_case, [2.0, 10.0, 30.0], WIDE_SIGMA_I)
-        assert len(idents) == 3 and len(set(idents)) == cpus
+        assert len(solvers) == 3 and len(set(solvers)) == cpus
         for i, sp in enumerate(result.sigma_p):
             for j, si in enumerate(result.sigma_i):
                 gains = error_case.with_gains(sigma_p=float(sp), sigma_i=float(si))
@@ -442,9 +446,9 @@ def test_sweep_starts_no_thread_where_threads_run_slower(demo8, monkeypatch, cas
         sys, grid_i = demo8, [1.0, 20.0]
         assert 2 * 30 <= sim._GIL_FREE_STACK
     _usable_cpus(monkeypatch, 2)
-    idents = _solver_threads(monkeypatch)
+    solvers = _solver_threads(monkeypatch)
     result = sweep(sys, [1.0, 5.0], grid_i)
-    assert idents == [threading.get_ident()] * 2
+    assert solvers == [threading.current_thread()] * 2
     gains = sys.with_gains(sigma_p=5.0, sigma_i=grid_i[1])
     np.testing.assert_array_equal(result.abscissa[1, 1], error_system(gains).abscissa())
 
@@ -457,8 +461,24 @@ def test_certified_cells_are_stable(demo8):
     assert np.all(result.stable[certified])
 
 
+def test_sweep_takes_array_grids_as_they_are_and_any_iterable(demo8):
+    # An array grid is converted without iterating it value by value.
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("the grid was iterated")
+
+    want = sweep(demo8, [5.0, 19.3], [0.0, 15.0])
+    arrays = sweep(demo8, np.array([5.0, 19.3]).view(NoIteration), np.array([0.0, 15.0]).view(NoIteration))
+    generators = sweep(demo8, (g for g in (5.0, 19.3)), iter([0.0, 15.0]))
+    for got in (arrays, generators):
+        assert type(got.sigma_p) is np.ndarray and type(got.sigma_i) is np.ndarray
+        np.testing.assert_array_equal(got.sigma_p, want.sigma_p)
+        np.testing.assert_array_equal(got.abscissa, want.abscissa)
+    np.testing.assert_array_equal(sweep(demo8, range(2), (15.0,)).sigma_p, [0.0, 1.0])
+
+
 def test_sweep_rejects_bad_grids(demo8):
-    for bad in ([np.nan, 1.0], [-5.0, 0.0], [0.0, np.inf]):
+    for bad in ([np.nan, 1.0], [-5.0, 0.0], [0.0, np.inf], [], np.array(3.0), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             sweep(demo8, bad, [1.0])
         with pytest.raises(ValueError):
@@ -468,12 +488,12 @@ def test_sweep_rejects_bad_grids(demo8):
 def test_sweep_overflowing_gain_gives_nan_cells(demo8, monkeypatch):
     # finite gains whose products overflow the error matrix: NaN, not stable.
     # With 2 CPUs the rows run on two threads, each without a warning.
-    idents = _solver_threads(monkeypatch)
+    solvers = _solver_threads(monkeypatch)
     for cpus in (1, 2):
         _usable_cpus(monkeypatch, cpus)
-        idents.clear()
+        solvers.clear()
         result = sweep(demo8, [20.0, 1e308], [15.0] + [1e308] * 17)
-        assert len(set(idents)) == cpus
+        assert len(set(solvers)) == cpus
         assert np.isfinite(result.abscissa[0, 0]) and bool(result.stable[0, 0])
         assert np.isnan(result.abscissa[0, 1:]).all() and np.isnan(result.abscissa[1]).all()
         assert not result.stable[1].any() and not result.marginal[1].any()

@@ -9,7 +9,9 @@ with Ahat = blockdiag(A_1..A_N). Consensus trajectories live in the kernel of
 the deviation map; the error system below removes the structurally conserved
 integral mode and its spectral abscissa decides asymptotic consensus. The
 error matrix is affine in the two gains, E0 + sigma_P Dp + sigma_I Di, and
-the pencil is built once per system. Both
+the pencil is built once per system, in the pinned orthonormal basis Q of
+one Laplacian: E0's psi block (Q^T (x) I) Ahat (Q (x) I) is one batch of
+n^2 congruences of Q, one per entry of the node matrices. Both
 representations are kept because they cross-validate each other: the error
 matrix's eigenvalues plus n structural zeros reproduce the full spectrum.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, NoEquilibriumError
 from .graph import is_connected, laplacian
-from .spectral import block_decompose, kron_eye, psi_blocks
+from .spectral import _pinned_basis, kron_eye
 from .stability import MultiplexSystem, _with_gains, averaged_dynamics, check_theorem
 
 #: Spectral abscissa below -STABLE_TOL counts as stable; within +-STABLE_TOL
@@ -161,18 +163,30 @@ def _pencil(sys: MultiplexSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E0 and the nonzero blocks -(S_P (x) I) of Dp and -(S_I (x) I) of Di.
 
     Both blocks are (N - 1)n square: Dp's sits on the deviation rows and
-    columns, Di's on the integral rows and deviation columns. E0 holds no
-    negative zero, so adding a block to it leaves none either; LAPACK's
-    reflectors take the sign of a zero leading entry, so the sign of a zero
-    can move eigenvalue bits.
+    columns, Di's on the integral rows and deviation columns. E0's psi block
+    is ``(Q^T (x) I) blockdiag(A_1..A_N) (Q (x) I)`` for the pinned
+    orthonormal basis Q, which equals ``(R^-1 (x) I) Ahat (R (x) I)``; it is
+    formed as one batch of n^2 congruences ``Q^T diag(A_1..A_N[a, b]) Q``,
+    one per entry (a, b) of the node matrices. E0 holds no negative zero, so
+    adding a block to it leaves none either; LAPACK's reflectors take the
+    sign of a zero leading entry, so the sign of a zero can move eigenvalue
+    bits.
     """
-    laps = np.stack([laplacian(layer) for layer in (sys.layer_c, sys.layer_p, sys.layer_i)])
-    basis = block_decompose(laps[0] if is_connected(sys.layer_c) else laps[2])
-    dim, top = sys.state_dim, sys.n_nodes * sys.state_dim
+    laps = np.array([laplacian(layer) for layer in (sys.layer_c, sys.layer_p, sys.layer_i)])
+    q, _ = _pinned_basis(laps[0] if is_connected(sys.layer_c) else laps[2])
+    n_nodes, dim = sys.n_nodes, sys.state_dim
+    top = n_nodes * dim
     size = 2 * top - dim
     e0 = np.zeros((size, size))
-    e0[:top, :top] = psi_blocks(sys.effective_a(), basis).assembled()
-    s_c, s_p, s_i = kron_eye((basis.r_inverse @ laps @ basis.r_matrix)[:, 1:, 1:], dim)
+    # Entry (a, b) of every node matrix as a row (n, n, 1, N), scaling the
+    # columns of Q^T; block (i, j) of psi holds entry (i, j) of congruence (a, b).
+    # Splitting the axes of E0's top-left slice is always a view, so the
+    # assignment lands in E0.
+    entries = np.array(sys.effective_a()).transpose(1, 2, 0)[:, :, None, :]
+    e0[:top, :top].reshape(n_nodes, dim, n_nodes, dim)[...] = (
+        ((q.T * entries) @ q).transpose(2, 0, 3, 1)
+    )
+    s_c, s_p, s_i = kron_eye((q.T @ laps @ q)[:, 1:, 1:], dim)
     with np.errstate(over="ignore", invalid="ignore"):
         e0[dim:top, dim:top] -= sys.sigma * s_c
     e0[dim:top, top:] = np.eye(size - top)
@@ -180,21 +194,30 @@ def _pencil(sys: MultiplexSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e0, -s_p, -s_i
 
 
+def _add_gains(mats: np.ndarray, block_p: np.ndarray, block_i: np.ndarray, sigma_p: float, sigma_i) -> None:
+    """Add sigma_P Dp and sigma_I Di to E0, or to each E0 of a stack, in place.
+
+    ``sigma_i`` is a scalar or one value per matrix. An overflowing gain
+    leaves non-finite entries without a warning.
+    """
+    size, rest = mats.shape[-1], block_p.shape[0]
+    dev, integral = slice(size - 2 * rest, size - rest), slice(size - rest, size)
+    sigma_i = np.asarray(sigma_i, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats[..., dev, dev] += sigma_p * block_p
+        mats[..., integral, dev] += sigma_i[..., None, None] * block_i
+
+
 def _error_matrices(pencil, sigma_p: float, sigma_i) -> np.ndarray:
     """E0 + sigma_P Dp + sigma_I Di from ``_pencil``; one matrix per entry of ``sigma_i``.
 
     One copy of E0 per matrix, to which each gain's block is added in place.
-    An overflowing gain leaves non-finite entries without a warning.
     """
     e0, block_p, block_i = pencil
-    size, rest = e0.shape[0], block_p.shape[0]
-    dev, integral = slice(size - 2 * rest, size - rest), slice(size - rest, size)
     sigma_i = np.asarray(sigma_i, dtype=float)
     mats = np.empty(sigma_i.shape + e0.shape)
     mats[...] = e0
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats[..., dev, dev] += sigma_p * block_p
-        mats[..., integral, dev] += sigma_i[..., None, None] * block_i
+    _add_gains(mats, block_p, block_i, sigma_p, sigma_i)
     return mats
 
 
@@ -222,7 +245,8 @@ def error_system(sys: MultiplexSystem) -> ErrorSystem:
     consensus equilibrium attracts. It is ``error_pencil`` evaluated at the
     system's gains.
     """
-    mat = _error_matrices(_pencil(sys), sys.sigma_p, sys.sigma_i)
+    mat, block_p, block_i = _pencil(sys)
+    _add_gains(mat, block_p, block_i, sys.sigma_p, sys.sigma_i)
     return ErrorSystem(mat, sys.n_nodes, sys.state_dim)
 
 

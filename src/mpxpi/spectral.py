@@ -87,12 +87,45 @@ def validate_laplacian(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidLaplacianError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
+    peak = float(np.abs(mat).max())
+    # NaN fails every comparison below without a word, and inf - inf is NaN.
+    if not np.isfinite(peak):
+        raise InvalidLaplacianError("matrix has a non-finite entry")
+    scale = max(1.0, peak)
     if np.abs(mat - mat.T).max() > IDENTITY_TOL * scale:
         raise InvalidLaplacianError("matrix is not symmetric")
     if np.abs(mat.sum(axis=1)).max() > IDENTITY_TOL * scale:
         raise InvalidLaplacianError("matrix rows do not sum to zero")
     return mat
+
+
+def _pinned_basis(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenbasis Q of a Laplacian with Q[:, 0] = 1/sqrt(N)·1, and its eigenvalues.
+
+    ``R = sqrt(N) Q`` and ``R^-1 = Q^T / sqrt(N)`` are the scaled basis of
+    :class:`SpectralBlocks`, so ``R^-1 X R = Q^T X Q`` for any X. The
+    eigenvalues are ascending after the structural 0.
+    """
+    mat = validate_laplacian(mat)
+    n = mat.shape[0]
+    if n < 2:
+        raise DimensionError("block decomposition needs at least 2 nodes")
+
+    # Householder reflection sending e_1 to the normalised ones vector.
+    u = np.full(n, -1.0 / np.sqrt(n))
+    u[0] += 1.0
+    reflect = np.eye(n) - (2.0 / (u @ u)) * (u[:, None] * u)
+
+    deflated = (reflect @ mat @ reflect)[1:, 1:]
+    lam, w = np.linalg.eigh(0.5 * (deflated + deflated.T))
+
+    # Fixed sign convention: largest-magnitude entry of each eigenvector >= 0.
+    flip = w[np.abs(w).argmax(axis=0), np.arange(n - 1)] < 0.0
+    w *= np.where(flip, -1.0, 1.0)
+
+    # Orthonormal, first column pinned; the product is formed before it lands.
+    reflect[:, 1:] = reflect[:, 1:] @ w
+    return reflect, np.concatenate(([0.0], lam))
 
 
 def block_decompose(mat: np.ndarray) -> SpectralBlocks:
@@ -102,27 +135,8 @@ def block_decompose(mat: np.ndarray) -> SpectralBlocks:
     eigenvalue is exactly 0 (deflated, not estimated). Connectivity is not
     required; a disconnected input simply yields further near-zero eigenvalues.
     """
-    mat = validate_laplacian(mat)
-    n = mat.shape[0]
-    if n < 2:
-        raise DimensionError("block decomposition needs at least 2 nodes")
-
-    # Householder reflection sending e_1 to the normalised ones vector.
-    ones_unit = np.full(n, 1.0 / np.sqrt(n))
-    u = -ones_unit.copy()
-    u[0] += 1.0
-    reflect = np.eye(n) - (2.0 / (u @ u)) * np.outer(u, u)
-
-    deflated = (reflect @ mat @ reflect)[1:, 1:]
-    lam, w = np.linalg.eigh(0.5 * (deflated + deflated.T))
-
-    # Fixed sign convention: largest-magnitude entry of each eigenvector >= 0.
-    flip = w[np.abs(w).argmax(axis=0), np.arange(n - 1)] < 0.0
-    w[:, flip] *= -1.0
-
-    basis = reflect.copy()
-    basis[:, 1:] = reflect[:, 1:] @ w  # orthonormal, first column pinned
-
+    basis, eigenvalues = _pinned_basis(mat)
+    n = basis.shape[0]
     inv_sqrt_n = 1.0 / np.sqrt(n)
     return SpectralBlocks(
         n_nodes=n,
@@ -130,7 +144,7 @@ def block_decompose(mat: np.ndarray) -> SpectralBlocks:
         r12=np.full(n - 1, 1.0 / n),
         r21=inv_sqrt_n * basis[0, 1:].copy(),
         r22=inv_sqrt_n * basis[1:, 1:].T.copy(),
-        eigenvalues=np.concatenate(([0.0], lam)),
+        eigenvalues=eigenvalues,
     )
 
 
@@ -272,8 +286,10 @@ def psi_blocks(a_list: Sequence[np.ndarray], blocks: SpectralBlocks) -> PsiBlock
     """Transform per-node dynamics matrices by the basis of ``blocks``.
 
     Equivalent to ``(R^-1 (x) I) blockdiag(A_1..A_N) (R (x) I)`` but assembled
-    from the closed-form blocks, which is both cheaper and exposes the
-    structure the stability conditions use.
+    from the closed-form blocks, which exposes the structure the stability
+    conditions use. The error pencil (``sim.error_pencil``) forms the same
+    matrix without these blocks, as a batch of congruences of the pinned
+    orthonormal basis.
     """
     mats = [np.asarray(a, dtype=float) for a in a_list]
     n_nodes = blocks.n_nodes

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import warnings
-import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +20,15 @@ from mpxpi.cli import main
 from mpxpi.errors import SpecFormatError
 from mpxpi.sim import sweep
 
-from conftest import SPLIT_ROWS, _csv_by_value, _stdout_to_a_pipe, _usable_cpus
+from conftest import (
+    SPLIT_ROWS,
+    _assert_same_bytes,
+    _assert_same_text,
+    _count_truncations,
+    _csv_by_value,
+    _stdout_to_a_pipe,
+    _usable_cpus,
+)
 
 
 def _bundled(name: str) -> str:
@@ -52,7 +59,7 @@ def test_check_passes_and_prints_certificates(hetero8, capsys):
 
 
 def test_check_fails_below_cutoff(hetero8, tmp_path, capsys):
-    doc = json.loads(open(hetero8).read())
+    doc = json.loads(Path(hetero8).read_text())
     doc["layers"]["P"]["sigma"] = 19.0
     weak = tmp_path / "weak.json"
     weak.write_text(json.dumps(doc))
@@ -156,101 +163,7 @@ def test_sweep_rows_match_per_cell_layout(hetero8, tmp_path):
     assert out.read_text().splitlines()[2:] == expected
 
 
-def _assert_same_text(got, want):
-    # Name the first line that differs: a diff of megabytes of text is too slow.
-    if got != want:
-        for number, (line, wanted) in enumerate(zip(got.split("\n"), want.split("\n"))):
-            assert line == wanted, f"line {number}"
-        assert len(got) == len(want)
-
-
-def _assert_same_bytes(got, want):
-    # latin-1 maps every byte to one character, so nothing is lost.
-    _assert_same_text(got.decode("latin-1"), want.decode("latin-1"))
-
-
-def _count_truncations(monkeypatch):
-    cuts, ftruncate = [], os.ftruncate
-
-    def counted(fd, length):
-        cuts.append(length)
-        ftruncate(fd, length)
-
-    monkeypatch.setattr(csvio.os, "ftruncate", counted)
-    return cuts
-
-
 SPAN = csvio._CSV_CHUNK_ROWS
-
-
-@pytest.mark.parametrize("n_rows, n_cols", [(7, 5), (4 * SPAN + 3, 3), (1000, 4)])
-def test_write_csv_matches_per_value_format(tmp_path, n_rows, n_cols):
-    rng = np.random.default_rng(n_rows)
-    rows = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
-    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308]
-    rows.flat[: len(special)] = special
-    if n_cols == 4:  # sweep-shaped: sigma_p, sigma_i, abscissa, stable flag
-        rows[:, 3] = rows[:, 2] < 0.0
-    columns = [f"c{k}" for k in range(n_cols)]
-    out = tmp_path / "rows.csv"
-    csvio.write_csv(str(out), ["seed 1", "dt 0.001"], columns, rows)
-    assert out.read_bytes() == _csv_by_value(["seed 1", "dt 0.001"], columns, rows).encode()
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n_rows", [1, SPAN - 1, SPAN, SPAN + 1, 5 * SPAN + 17])
-def test_write_csv_matches_per_value_format_at_span_edges(tmp_path, monkeypatch, cpus, n_rows):
-    _usable_cpus(monkeypatch, cpus)
-    rows = np.random.default_rng(n_rows).standard_normal((n_rows, 3)) * 1e3
-    out = tmp_path / "rows.csv"
-    csvio.write_csv(str(out), [], ["a", "b", "c"], rows)
-    assert out.read_bytes() == _csv_by_value([], ["a", "b", "c"], rows).encode()
-
-
-def _many_span_rows():
-    rows = np.random.default_rng(9).standard_normal((3 * SPAN + 5, 4))
-    rows[:, 0] = np.arange(len(rows))
-    return rows
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
-    rows = _many_span_rows()
-    columns = ["t", "a", "b", "c"]
-    want = _csv_by_value(["seed 9"], columns, rows)
-    out = tmp_path / "rows.csv"
-    csvio.write_csv(str(out), ["seed 9"], columns, rows)
-    _assert_same_bytes(out.read_bytes(), want.encode())
-    capsys.readouterr()
-    csvio.write_csv(None, ["seed 9"], columns, rows)
-    _assert_same_text(capsys.readouterr().out, want)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        csvio.write_csv(None, ["seed 9"], columns, rows)
-    _assert_same_text(buf.getvalue(), want)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["w", "a"])
-def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
-    # A file opened to write or to append takes the spans through its file
-    # offset, as a --out file does. Text around the CSV stays in place.
-    _usable_cpus(monkeypatch, cpus)
-    cuts = _count_truncations(monkeypatch)
-    rows = _many_span_rows()
-    columns = ["t", "a", "b", "c"]
-    path = tmp_path / "stdout.csv"
-    path.write_text("old\n")
-    with open(path, mode) as fh, contextlib.redirect_stdout(fh):
-        print("before")
-        csvio.write_csv(None, ["seed 9"], columns, rows)
-        print("after")
-    want = "before\n" + _csv_by_value(["seed 9"], columns, rows) + "after\n"
-    _assert_same_text(path.read_text(), ("old\n" if mode == "a" else "") + want)
-    assert cuts == []  # standard output is never cut
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="needs 2 CPUs")
@@ -302,17 +215,6 @@ def test_write_csv_overwrites_an_existing_file_in_place(tmp_path, monkeypatch, c
     _assert_same_bytes(out.read_bytes(), want)
     assert out.stat().st_ino == inode
     assert multiprocessing.active_children() == []
-
-
-def test_write_csv_creates_a_file_with_the_mode_open_gives(tmp_path):
-    umask = os.umask(0o027)
-    try:
-        csvio.write_csv(str(tmp_path / "new.csv"), [], ["a"], np.zeros(3))
-        open(tmp_path / "by_open.csv", "w").close()
-    finally:
-        os.umask(umask)
-    modes = [(tmp_path / name).stat().st_mode & 0o7777 for name in ("new.csv", "by_open.csv")]
-    assert modes == [0o640, 0o640]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
@@ -377,15 +279,6 @@ def test_failed_overwrite_leaves_no_old_byte_after_the_header(hetero8, tmp_path,
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
     assert out.read_bytes() == header
-
-
-def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
-    _usable_cpus(monkeypatch, 2)
-    rows = _many_span_rows()
-    alive = weakref.ref(rows)
-    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["t", "a", "b", "c"], rows)
-    del rows
-    assert alive() is None
 
 
 def _write_through_a_pipe(*args):
@@ -534,7 +427,7 @@ def test_power_check_from_spec(grid16, capsys):
     ],
 )
 def test_power_rejects_overflowing_rates(grid16, tmp_path, capsys, key, buses, value, message):
-    doc = json.loads(open(grid16).read())
+    doc = json.loads(Path(grid16).read_text())
     for bus in buses:
         doc[key][bus] = value
     spec = tmp_path / "grid.json"
@@ -546,7 +439,7 @@ def test_power_rejects_overflowing_rates(grid16, tmp_path, capsys, key, buses, v
 
 
 def test_power_reports_inf_threshold_when_a_square_overflows(grid16, tmp_path, capsys):
-    doc = json.loads(open(grid16).read())
+    doc = json.loads(Path(grid16).read_text())
     doc["local_gain"][0] = 1e308
     spec = tmp_path / "grid.json"
     spec.write_text(json.dumps(doc))
@@ -583,7 +476,7 @@ def test_exit_codes_on_bad_input(tmp_path, capsys):
 
 
 def test_check_rejects_nan_gain(hetero8, tmp_path, capsys):
-    doc = json.loads(open(hetero8).read())
+    doc = json.loads(Path(hetero8).read_text())
     doc["layers"]["P"]["sigma"] = float("nan")
     spec = tmp_path / "nan.json"
     spec.write_text(json.dumps(doc))
@@ -593,7 +486,7 @@ def test_check_rejects_nan_gain(hetero8, tmp_path, capsys):
 
 
 def test_sweep_rejects_infinite_matrix_entry(hetero8, tmp_path, capsys):
-    doc = json.loads(open(hetero8).read())
+    doc = json.loads(Path(hetero8).read_text())
     doc["nodes"][0]["A"][0][0] = float("inf")
     spec = tmp_path / "inf.json"
     spec.write_text(json.dumps(doc))

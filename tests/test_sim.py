@@ -7,7 +7,7 @@ import pytest
 
 from mpxpi import kernels, sim, stability
 from mpxpi.errors import DimensionError, NoEquilibriumError
-from mpxpi.graph import LayerGraph, empty_graph, laplacian, path_graph, ring_graph, star_graph
+from mpxpi.graph import LayerGraph, empty_graph, is_connected, laplacian, path_graph, ring_graph, star_graph
 from mpxpi.sim import (
     assemble,
     certified_cells,
@@ -19,9 +19,10 @@ from mpxpi.sim import (
     spectral_abscissa,
     sweep,
 )
+from mpxpi.spectral import block_decompose, psi_blocks
 from mpxpi.stability import MultiplexSystem, NodeDynamics, check_theorem
 
-from conftest import random_system
+from conftest import random_connected_graph, random_system
 
 
 def _scalar_pair(a_values, b_values, sigma_p=1.0, sigma_i=1.0):
@@ -189,6 +190,52 @@ def test_error_pencil_is_affine_in_the_gains(error_case):
         np.testing.assert_array_equal(
             e0 + sigma_p * dp + sigma_i * di, error_system(gains).matrix
         )
+
+
+def test_error_pencil_psi_block_matches_the_structured_and_dense_forms():
+    # E0's top-left Nn block is psi - sigma (blockdiag(0, S_C) (x) I), in the
+    # pinned basis of C when C is connected and of the integral layer when
+    # not; psi from the batched congruence must match psi_blocks and the
+    # dense (R^-1 (x) I) Ahat (R (x) I).
+    rng = np.random.default_rng(21)
+    kinds = {"empty": 0, "connected": 0, "disconnected": 0}
+    for case in range(60):
+        base = random_system(rng, max_nodes=9, max_dim=3)
+        n_nodes, dim = base.n_nodes, base.state_dim
+        kind = ("empty", "connected", "disconnected")[case % 3]
+        layer_c = LayerGraph(n_nodes)
+        if kind == "connected":
+            layer_c = random_connected_graph(rng, n_nodes)
+        elif kind == "disconnected" and n_nodes > 2:
+            layer_c = LayerGraph(n_nodes, tuple(e for e in random_connected_graph(rng, n_nodes).edges if 1 not in e[:2]))
+        feedback = None
+        if case % 2:
+            feedback = tuple(0.5 * rng.standard_normal((dim, dim)) for _ in range(n_nodes))
+        sys = dataclasses.replace(
+            base, layer_c=layer_c, sigma=float(rng.uniform(0.0, 3.0)), local_feedback=feedback
+        )
+        kinds[kind] += 1
+        blocks = block_decompose(laplacian(layer_c if is_connected(layer_c) else sys.layer_i))
+        top = n_nodes * dim
+        a_hat = np.zeros((top, top))
+        for k, a in enumerate(sys.effective_a()):
+            a_hat[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = a
+        eye = np.eye(dim)
+        dense = np.kron(blocks.r_inverse, eye) @ a_hat @ np.kron(blocks.r_matrix, eye)
+        structured = psi_blocks(sys.effective_a(), blocks).assembled()
+        s_c = blocks.r_inverse @ laplacian(layer_c) @ blocks.r_matrix
+        s_c[0, :] = s_c[:, 0] = 0.0
+        coupling = np.kron(s_c, eye)
+
+        e0 = error_pencil(sys)[0]
+        psi = e0[:top, :top] + sys.sigma * coupling
+        for want in (dense, structured):
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(psi - want).max() <= 1e-12 * scale, (case, kind)
+        np.testing.assert_array_equal(e0[dim:top, top:], np.eye(top - dim))
+        assert not e0[top:].any() and not e0[:dim, top:].any()
+        assert not np.signbit(e0[e0 == 0.0]).any(), case
+    assert min(kinds.values()) >= 15
 
 
 def test_error_abscissa_demo_gains(demo8):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,29 @@ def test_rejects_non_symmetric():
 def test_rejects_nonzero_row_sums():
     with pytest.raises(InvalidLaplacianError):
         block_decompose(np.array([[2.0, -1.0], [-1.0, 1.0]]))
+
+
+def _non_finite_laplacians():
+    lap = laplacian(ring_graph(3))
+    one_nan, one_inf, minus_inf = lap.copy(), lap.copy(), lap.copy()
+    one_nan[0, 1] = np.nan
+    one_inf[2, 2] = np.inf
+    minus_inf[1, 0] = minus_inf[0, 1] = -np.inf
+    return {"nan": one_nan, "inf": one_inf, "-inf": minus_inf, "all-inf": np.full((3, 3), np.inf)}
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "all-inf"])
+def test_rejects_non_finite_entries(kind):
+    # NaN fails the symmetry and row-sum comparisons without a word, and
+    # inf - inf is NaN: both are refused before those checks, with no warning.
+    bad = _non_finite_laplacians()[kind]
+    blocks = block_decompose(laplacian(ring_graph(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidLaplacianError, match="non-finite"):
+            block_decompose(bad)
+        with pytest.raises(InvalidLaplacianError, match="non-finite"):
+            similarity_transform(blocks, bad)
 
 
 def test_identity_residuals_ring8():

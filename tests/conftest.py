@@ -81,30 +81,6 @@ def _csv_by_value(header_lines, columns, rows):
     )
 
 
-def _assert_same_text(got, want):
-    # Name the first line that differs: a diff of megabytes of text is too slow.
-    if got != want:
-        for number, (line, wanted) in enumerate(zip(got.split("\n"), want.split("\n"))):
-            assert line == wanted, f"line {number}"
-        assert len(got) == len(want)
-
-
-def _assert_same_bytes(got, want):
-    # latin-1 maps every byte to one character, so nothing is lost.
-    _assert_same_text(got.decode("latin-1"), want.decode("latin-1"))
-
-
-def _count_truncations(monkeypatch):
-    cuts, ftruncate = [], os.ftruncate
-
-    def counted(fd, length):
-        cuts.append(length)
-        ftruncate(fd, length)
-
-    monkeypatch.setattr(csvio.os, "ftruncate", counted)
-    return cuts
-
-
 @contextlib.contextmanager
 def _stdout_to_a_pipe():
     """Standard output redirected to a real pipe; yields the list of bytes read from it."""

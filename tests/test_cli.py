@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -20,15 +21,7 @@ from mpxpi.cli import main
 from mpxpi.errors import SpecFormatError
 from mpxpi.sim import sweep
 
-from conftest import (
-    SPLIT_ROWS,
-    _assert_same_bytes,
-    _assert_same_text,
-    _count_truncations,
-    _csv_by_value,
-    _stdout_to_a_pipe,
-    _usable_cpus,
-)
+from conftest import SPLIT_ROWS, _csv_by_value, _stdout_to_a_pipe, _usable_cpus
 
 
 def _bundled(name: str) -> str:
@@ -163,7 +156,87 @@ def test_sweep_rows_match_per_cell_layout(hetero8, tmp_path):
     assert out.read_text().splitlines()[2:] == expected
 
 
+def _assert_same_text(got, want):
+    # Name the first line that differs: a diff of megabytes of text is too slow.
+    if got != want:
+        for number, (line, wanted) in enumerate(zip(got.split("\n"), want.split("\n"))):
+            assert line == wanted, f"line {number}"
+        assert len(got) == len(want)
+
+
+def _assert_same_bytes(got, want):
+    # latin-1 maps every byte to one character, so nothing is lost.
+    _assert_same_text(got.decode("latin-1"), want.decode("latin-1"))
+
+
+def _count_truncations(monkeypatch):
+    cuts, ftruncate = [], os.ftruncate
+
+    def counted(fd, length):
+        cuts.append(length)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(csvio.os, "ftruncate", counted)
+    return cuts
+
+
 SPAN = csvio._CSV_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_rows", [1, SPAN - 1, SPAN, SPAN + 1, 5 * SPAN + 17])
+def test_write_csv_matches_per_value_format_at_span_edges(tmp_path, monkeypatch, cpus, n_rows):
+    _usable_cpus(monkeypatch, cpus)
+    rows = np.random.default_rng(n_rows).standard_normal((n_rows, 3)) * 1e3
+    out = tmp_path / "rows.csv"
+    csvio.write_csv(str(out), [], ["a", "b", "c"], rows)
+    assert out.read_bytes() == _csv_by_value([], ["a", "b", "c"], rows).encode()
+
+
+def _many_span_rows():
+    rows = np.random.default_rng(9).standard_normal((3 * SPAN + 5, 4))
+    rows[:, 0] = np.arange(len(rows))
+    return rows
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    rows = _many_span_rows()
+    columns = ["t", "a", "b", "c"]
+    want = _csv_by_value(["seed 9"], columns, rows)
+    out = tmp_path / "rows.csv"
+    csvio.write_csv(str(out), ["seed 9"], columns, rows)
+    _assert_same_bytes(out.read_bytes(), want.encode())
+    capsys.readouterr()
+    csvio.write_csv(None, ["seed 9"], columns, rows)
+    _assert_same_text(capsys.readouterr().out, want)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        csvio.write_csv(None, ["seed 9"], columns, rows)
+    _assert_same_text(buf.getvalue(), want)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["w", "a"])
+def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
+    # A file opened to write or to append takes the spans through its file
+    # offset, as a --out file does. Text around the CSV stays in place.
+    _usable_cpus(monkeypatch, cpus)
+    cuts = _count_truncations(monkeypatch)
+    rows = _many_span_rows()
+    columns = ["t", "a", "b", "c"]
+    path = tmp_path / "stdout.csv"
+    path.write_text("old\n")
+    with open(path, mode) as fh, contextlib.redirect_stdout(fh):
+        print("before")
+        csvio.write_csv(None, ["seed 9"], columns, rows)
+        print("after")
+    want = "before\n" + _csv_by_value(["seed 9"], columns, rows) + "after\n"
+    _assert_same_text(path.read_text(), ("old\n" if mode == "a" else "") + want)
+    assert cuts == []  # standard output is never cut
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2, reason="needs 2 CPUs")
@@ -279,6 +352,15 @@ def test_failed_overwrite_leaves_no_old_byte_after_the_header(hetero8, tmp_path,
     _assert_clean_input_error(capsys.readouterr(), "No space left on device")
     assert multiprocessing.active_children() == []
     assert out.read_bytes() == header
+
+
+def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    rows = _many_span_rows()
+    alive = weakref.ref(rows)
+    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["t", "a", "b", "c"], rows)
+    del rows
+    assert alive() is None
 
 
 def _write_through_a_pipe(*args):

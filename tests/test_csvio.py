@@ -6,7 +6,6 @@ import io
 import math
 import multiprocessing
 import os
-import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,9 +18,6 @@ from mpxpi import csvio
 
 from conftest import (
     SPLIT_ROWS,
-    _assert_same_bytes,
-    _assert_same_text,
-    _count_truncations,
     _csv_by_value,
     _stdout_to_a_pipe,
     _usable_cpus,
@@ -264,62 +260,6 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows, n_cols):
     assert out.read_bytes() == _csv_by_value(["seed 1", "dt 0.001"], columns, rows).encode()
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n_rows", [1, SPAN - 1, SPAN, SPAN + 1, 5 * SPAN + 17])
-def test_write_csv_matches_per_value_format_at_span_edges(tmp_path, monkeypatch, cpus, n_rows):
-    _usable_cpus(monkeypatch, cpus)
-    rows = np.random.default_rng(n_rows).standard_normal((n_rows, 3)) * 1e3
-    out = tmp_path / "rows.csv"
-    csvio.write_csv(str(out), [], ["a", "b", "c"], rows)
-    assert out.read_bytes() == _csv_by_value([], ["a", "b", "c"], rows).encode()
-
-
-def _many_span_rows():
-    rows = np.random.default_rng(9).standard_normal((3 * SPAN + 5, 4))
-    rows[:, 0] = np.arange(len(rows))
-    return rows
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_write_csv_same_bytes_to_every_destination(tmp_path, capsys, monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
-    rows = _many_span_rows()
-    columns = ["t", "a", "b", "c"]
-    want = _csv_by_value(["seed 9"], columns, rows)
-    out = tmp_path / "rows.csv"
-    csvio.write_csv(str(out), ["seed 9"], columns, rows)
-    _assert_same_bytes(out.read_bytes(), want.encode())
-    capsys.readouterr()
-    csvio.write_csv(None, ["seed 9"], columns, rows)
-    _assert_same_text(capsys.readouterr().out, want)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        csvio.write_csv(None, ["seed 9"], columns, rows)
-    _assert_same_text(buf.getvalue(), want)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["w", "a"])
-def test_write_csv_to_stdout_that_is_a_file(tmp_path, monkeypatch, cpus, mode):
-    # A file opened to write or to append takes the spans through its file
-    # offset, as a --out file does. Text around the CSV stays in place.
-    _usable_cpus(monkeypatch, cpus)
-    cuts = _count_truncations(monkeypatch)
-    rows = _many_span_rows()
-    columns = ["t", "a", "b", "c"]
-    path = tmp_path / "stdout.csv"
-    path.write_text("old\n")
-    with open(path, mode) as fh, contextlib.redirect_stdout(fh):
-        print("before")
-        csvio.write_csv(None, ["seed 9"], columns, rows)
-        print("after")
-    want = "before\n" + _csv_by_value(["seed 9"], columns, rows) + "after\n"
-    _assert_same_text(path.read_text(), ("old\n" if mode == "a" else "") + want)
-    assert cuts == []  # standard output is never cut
-    assert multiprocessing.active_children() == []
-
-
 def test_write_csv_creates_a_file_with_the_mode_open_gives(tmp_path):
     umask = os.umask(0o027)
     try:
@@ -329,12 +269,3 @@ def test_write_csv_creates_a_file_with_the_mode_open_gives(tmp_path):
         os.umask(umask)
     modes = [(tmp_path / name).stat().st_mode & 0o7777 for name in ("new.csv", "by_open.csv")]
     assert modes == [0o640, 0o640]
-
-
-def test_write_csv_keeps_no_reference_to_rows(tmp_path, monkeypatch):
-    _usable_cpus(monkeypatch, 2)
-    rows = _many_span_rows()
-    alive = weakref.ref(rows)
-    csvio.write_csv(str(tmp_path / "rows.csv"), [], ["t", "a", "b", "c"], rows)
-    del rows
-    assert alive() is None
